@@ -1,8 +1,7 @@
 // Fleet scaling: instance throughput vs engine count, with and without
 // data-site contention — the scaling dimension FlowMark-style deployments
 // rely on (concurrency across instances, not within one). Plus the two
-// schedulers head-to-head on a skewed batch, and arena vs legacy
-// instance spin-up.
+// schedulers head-to-head on a skewed batch.
 
 #include <benchmark/benchmark.h>
 
@@ -160,80 +159,6 @@ BENCHMARK(BM_FleetSkewedBatch)
     ->ArgName("stealing")
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// Instance spin-up: StartProcess throughput with the per-plan arena
-// (one preformatted copy) vs the legacy per-activity container walk.
-// range(0) toggles the arena.
-void BM_FleetStartInstance(benchmark::State& state) {
-  constexpr int kBatch = 256;
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupChainProcess(&store, &programs, 20);
-
-  wfrt::EngineOptions eo;
-  eo.spinup_arena = state.range(0) != 0;
-
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, eo);
-    for (int i = 0; i < kBatch; ++i) {
-      auto id = engine.StartProcess(process);
-      if (!id.ok()) {
-        state.SkipWithError("start failed");
-        break;
-      }
-    }
-    benchmark::DoNotOptimize(engine.stats().instances_started);
-  }
-  state.counters["starts/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kBatch,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FleetStartInstance)->Arg(0)->Arg(1)->ArgName("arena");
-
-// Spin-up layout A/B with the arena on (the shipping configuration):
-// packed:1 copies one preformatted byte block plus a default-constructed
-// cold vector, packed:0 copies the full ActivityRuntime vector with its
-// container refcount traffic. Audit is off in both arms (layout-neutral
-// string traffic). Kept separate from BM_FleetStartInstance so its
-// arena:0/arena:1 series stays comparable to committed baselines.
-void BM_PackedStartInstance(benchmark::State& state) {
-  constexpr int kBatch = 256;
-  const int n = static_cast<int>(state.range(0));
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupChainProcess(&store, &programs, n);
-
-  wfrt::EngineOptions eo;
-  eo.packed_instance_state = state.range(1) != 0;
-  eo.audit_enabled = false;
-
-  // One fleet-style shared arena, as in BM_PackedChainNavigation: the
-  // per-engine arena rebuild is layout-neutral and would dilute the A/B.
-  auto def = store.FindProcess(process);
-  if (!def.ok()) std::abort();
-  auto arena = wfrt::InstanceArena::Build(**def, store.types());
-  if (!arena.ok()) std::abort();
-
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, eo);
-    engine.ShareArena(*def, &*arena);
-    for (int i = 0; i < kBatch; ++i) {
-      auto id = engine.StartProcess(process);
-      if (!id.ok()) {
-        state.SkipWithError("start failed");
-        break;
-      }
-    }
-    benchmark::DoNotOptimize(engine.stats().instances_started);
-  }
-  state.counters["starts/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kBatch,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PackedStartInstance)
-    ->ArgNames({"n", "packed"})
-    ->Args({20, 0})->Args({20, 1})
-    ->Args({100, 0})->Args({100, 1});
 
 }  // namespace
 }  // namespace exotica::bench

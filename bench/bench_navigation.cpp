@@ -107,217 +107,6 @@ void BM_DataFlowNavigation(benchmark::State& state) {
 }
 BENCHMARK(BM_DataFlowNavigation)->Arg(1)->Arg(16)->Arg(64);
 
-// Builds the conditioned chain: N activities, a three-clause
-// short-circuit condition on every hop.
-std::string SetupConditionedChain(wf::DefinitionStore* store,
-                                  wfrt::ProgramRegistry* programs, int n) {
-  SetupConstProgram(store, programs, "ok", 0);
-  std::string process = "cchain" + std::to_string(n);
-  wf::ProcessBuilder b(store, process);
-  for (int i = 0; i < n; ++i) {
-    b.Program("A" + std::to_string(i), "ok");
-    if (i > 0) {
-      b.Connect("A" + std::to_string(i - 1), "A" + std::to_string(i),
-                "RC >= 0 AND RC < 100 AND NOT (RC = 9)");
-    }
-  }
-  if (!b.Register().ok()) std::abort();
-  return process;
-}
-
-// Chain with a non-trivial condition on every hop: each transition pays
-// a three-clause short-circuit evaluation, through the compiled VM
-// (vm:1) or the tree-walk reference (vm:0). Typed programs and step
-// fusion are pinned OFF so this series keeps measuring exactly what the
-// committed BENCH_cond.json baseline measured; the ladder's upper rungs
-// are BM_StepChainNavigation's business.
-void BM_ConditionedChainNavigation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool use_vm = state.range(1) != 0;
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupConditionedChain(&store, &programs, n);
-
-  wfrt::EngineOptions options;
-  options.use_condition_vm = use_vm;
-  options.use_typed_conditions = false;
-  options.use_step_programs = false;
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, options);
-    auto id = engine.RunToCompletion(process);
-    if (!id.ok()) state.SkipWithError(id.status().ToString().c_str());
-  }
-  state.counters["activities/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ConditionedChainNavigation)
-    ->ArgNames({"n", "vm"})
-    ->Args({100, 0})->Args({100, 1})
-    ->Args({1000, 0})->Args({1000, 1});
-
-// The same conditioned chain at the top of the compilation ladder: typed
-// condition programs plus (step:1) the fused per-activity step programs,
-// vs (step:0) the interpreted sweep over the same typed programs. Against
-// BM_ConditionedChainNavigation/vm:1 this isolates the two new rungs.
-void BM_StepChainNavigation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool use_step = state.range(1) != 0;
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupConditionedChain(&store, &programs, n);
-
-  wfrt::EngineOptions options;  // condition VM + typed programs on
-  options.use_step_programs = use_step;
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, options);
-    auto id = engine.RunToCompletion(process);
-    if (!id.ok()) state.SkipWithError(id.status().ToString().c_str());
-  }
-  state.counters["activities/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_StepChainNavigation)
-    ->ArgNames({"n", "step"})
-    ->Args({100, 0})->Args({100, 1})
-    ->Args({1000, 0})->Args({1000, 1});
-
-// Instance-layout A/B on the fully fused chain (condition VM + typed
-// programs + step programs all on, i.e. what the engine ships with):
-// packed:1 runs the SoA hot/cold split, packed:0 the legacy
-// vector<ActivityRuntime>. Audit is off in both arms — trail bookkeeping
-// is layout-independent string traffic that would otherwise be ~2/3 of
-// the runtime and bury the navigation cost this pair isolates: the
-// packed arm's dense hot block and arena-prototype container sourcing
-// vs the legacy arm's ~144-byte struct strides and per-attempt
-// type-registry walks.
-void BM_PackedChainNavigation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool packed = state.range(1) != 0;
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupConditionedChain(&store, &programs, n);
-
-  wfrt::EngineOptions options;  // full compilation ladder on
-  options.packed_instance_state = packed;
-  options.audit_enabled = false;
-
-  // One fleet-style shared arena: per-engine arena rebuild is
-  // layout-neutral setup cost that would dilute the A/B signal.
-  auto def = store.FindProcess(process);
-  if (!def.ok()) std::abort();
-  auto arena = wfrt::InstanceArena::Build(**def, store.types());
-  if (!arena.ok()) std::abort();
-
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, options);
-    engine.ShareArena(*def, &*arena);
-    auto id = engine.RunToCompletion(process);
-    if (!id.ok()) state.SkipWithError(id.status().ToString().c_str());
-  }
-  state.counters["activities/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PackedChainNavigation)
-    ->ArgNames({"n", "packed"})
-    ->Args({100, 0})->Args({100, 1})
-    ->Args({1000, 0})->Args({1000, 1});
-
-// Native-codegen A/B on the trivially connected chain (native:1 runs the
-// x86-64 step functions CompileStepPrograms emitted at plan build,
-// native:0 pins the threaded-code interpreter on the same fused step
-// programs). Same methodology as the packed pair above: audit off and a
-// fleet-style shared arena, so the toggle isolates dispatch + sweep cost.
-// On builds without the emitter both arms run threaded code and the
-// ratio collapses to ~1 — the regression gate skips it there.
-void BM_NativeChainNavigation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool use_native = state.range(1) != 0;
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupChainProcess(&store, &programs, n);
-
-  wfrt::EngineOptions options;  // full compilation ladder on
-  options.use_native_step_programs = use_native;
-  options.audit_enabled = false;
-
-  auto def = store.FindProcess(process);
-  if (!def.ok()) std::abort();
-  auto arena = wfrt::InstanceArena::Build(**def, store.types());
-  if (!arena.ok()) std::abort();
-
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, options);
-    engine.ShareArena(*def, &*arena);
-    auto id = engine.RunToCompletion(process);
-    if (!id.ok()) state.SkipWithError(id.status().ToString().c_str());
-  }
-  state.counters["activities/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NativeChainNavigation)
-    ->ArgNames({"n", "native"})
-    ->Args({100, 0})->Args({100, 1})
-    ->Args({1000, 0})->Args({1000, 1});
-
-// Chain whose every hop evaluates an eight-clause arithmetic condition —
-// the shape where the condition *body* (imul/add/mod chains feeding
-// comparisons) dominates the sweep, which is exactly the work the native
-// rung lowers to straight-line machine code while the threaded path
-// interprets it one typed instruction at a time.
-std::string SetupArithChain(wf::DefinitionStore* store,
-                            wfrt::ProgramRegistry* programs, int n) {
-  SetupConstProgram(store, programs, "ok", 0);
-  std::string process = "achain" + std::to_string(n);
-  wf::ProcessBuilder b(store, process);
-  for (int i = 0; i < n; ++i) {
-    b.Program("A" + std::to_string(i), "ok");
-    if (i > 0) {
-      b.Connect("A" + std::to_string(i - 1), "A" + std::to_string(i),
-                "RC * 3 + 7 >= 0 AND (RC + 11) % 13 <> 12 AND "
-                "RC * 5 - 2 < 100 AND RC * RC >= 0 AND NOT (RC = 9) AND "
-                "(RC + 1) * (RC + 2) >= 2 AND RC - 100 < 0 AND "
-                "RC * 2 + 1 > 0");
-    }
-  }
-  if (!b.Register().ok()) std::abort();
-  return process;
-}
-
-// The same A/B on the arithmetic-conditioned chain: every hop runs the
-// eight-clause typed condition, natively lowered (straight-line imul/idiv
-// arithmetic and short-circuit jumps) vs the typed VM loop the
-// interpreter calls per instruction. This is the pair that prices the
-// condition-body lowering rather than just the sweep scaffold.
-void BM_NativeConditionedChain(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool use_native = state.range(1) != 0;
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  std::string process = SetupArithChain(&store, &programs, n);
-
-  wfrt::EngineOptions options;  // full compilation ladder on
-  options.use_native_step_programs = use_native;
-  options.audit_enabled = false;
-
-  auto def = store.FindProcess(process);
-  if (!def.ok()) std::abort();
-  auto arena = wfrt::InstanceArena::Build(**def, store.types());
-  if (!arena.ok()) std::abort();
-
-  for (auto _ : state) {
-    wfrt::Engine engine(&store, &programs, options);
-    engine.ShareArena(*def, &*arena);
-    auto id = engine.RunToCompletion(process);
-    if (!id.ok()) state.SkipWithError(id.status().ToString().c_str());
-  }
-  state.counters["activities/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NativeConditionedChain)
-    ->ArgNames({"n", "native"})
-    ->Args({100, 0})->Args({100, 1})
-    ->Args({1000, 0})->Args({1000, 1});
-
 // Journaling overhead: the same chain with an attached journal.
 void BM_ChainWithJournal(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -81,29 +81,6 @@ class Container {
     return layout_->defaults[slot];
   }
 
-  /// Declared scalar type of slot `slot` (no bounds check). Set() coerces
-  /// every write to the declared type (long widens to float), so a
-  /// non-null slot value always has exactly this type — the invariant the
-  /// typed condition compiler monomorphizes against.
-  ScalarType SlotType(uint32_t slot) const { return layout_->types[slot]; }
-
-  /// Typed slot reads for callers that have proven the declared type and
-  /// non-nullness (the typed condition VM: null-check GetSlot first).
-  int64_t GetSlotLong(uint32_t slot) const { return GetSlot(slot).as_long(); }
-  double GetSlotFloat(uint32_t slot) const { return GetSlot(slot).as_float(); }
-  bool GetSlotBool(uint32_t slot) const { return GetSlot(slot).as_bool(); }
-
-  /// Raw slot-storage views for native condition code (codegen::), which
-  /// replicates GetSlot's written-else-default-else-error read without
-  /// calling back into C++. values_ is lazily grown, so the data pointer
-  /// may be null and the size smaller than slot_count(); generated code
-  /// bounds-checks against the size before dereferencing.
-  const Value* slot_values_data() const { return values_.data(); }
-  uint64_t slot_values_size() const { return values_.size(); }
-  const Value* slot_defaults_data() const {
-    return layout_ ? layout_->defaults.data() : nullptr;
-  }
-
   /// Declared scalar type of a leaf. NotFound for unknown paths.
   Result<ScalarType> TypeOf(const std::string& path) const;
 

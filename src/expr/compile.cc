@@ -12,10 +12,6 @@ namespace {
 
 using Op = CompiledCondition::Op;
 using Instr = CompiledCondition::Instr;
-using TOp = CompiledCondition::TOp;
-using TInstr = CompiledCondition::TInstr;
-using TCell = CompiledCondition::TCell;
-using data::ScalarType;
 
 /// Resolver for compile-time folding of identifier-free subtrees. Never
 /// actually invoked — folding is only attempted when the subtree contains
@@ -41,86 +37,44 @@ bool HasIdentifiers(const Node& node) {
   return true;
 }
 
-/// Static type lattice of the typing pass: kNone means "this subtree
-/// cannot be monomorphized" (string operands, operations whose very
-/// execution would be a runtime type error, null literals). kNone
-/// anywhere poisons the whole typed program; the generic one still runs.
-enum class STy : uint8_t { kNone, kLong, kFloat, kBool };
-
-STy STyOf(ScalarType t) {
-  switch (t) {
-    case ScalarType::kLong: return STy::kLong;
-    case ScalarType::kFloat: return STy::kFloat;
-    case ScalarType::kBool: return STy::kBool;
-    default: return STy::kNone;
-  }
-}
-
 }  // namespace
 
 namespace internal {
 
-/// Lowers one AST into a CompiledCondition. Two instruction streams are
-/// emitted in a single walk: the generic program (always), and the typed
-/// monomorphic program (as long as every subtree types statically against
-/// the shape's declared member scalar types). The typed stream mirrors
-/// the generic one construct for construct — same constant folds, same
-/// short-circuit structure — so the two cannot diverge observably; when
-/// any construct fails to type, the typed stream is abandoned and only
-/// the generic program survives.
+/// Lowers one AST into a CompiledCondition.
 class ConditionEmitter {
  public:
   explicit ConditionEmitter(const data::Container& shape) : shape_(shape) {}
 
-  Status Emit(const Node& node, STy* ty) {
+  Status Emit(const Node& node) {
     // Fold identifier-free subtrees that evaluate cleanly. Subtrees whose
     // evaluation errors (1/0, "a" + 1) are emitted structurally so the
     // runtime reproduces the tree-walk's error, message and all.
     if (!HasIdentifiers(node)) {
       Result<data::Value> folded = expr::Evaluate(node, NoIdentifierResolver());
       if (folded.ok()) {
-        *ty = PushConst(std::move(folded).value());
+        PushConst(std::move(folded).value());
         return Status::OK();
       }
     }
     switch (node.kind) {
       case NodeKind::kLiteral:
-        *ty = PushConst(node.literal);
+        PushConst(node.literal);
         return Status::OK();
       case NodeKind::kIdentifier:
-        return EmitLoad(node, ty);
-      case NodeKind::kUnary: {
-        STy operand = STy::kNone;
-        EXO_RETURN_NOT_OK(Emit(*node.lhs, &operand));
-        if (node.unary_op == UnaryOp::kNot) {
-          prog_.code_.push_back(Instr{Op::kNot});
-          if (operand == STy::kBool) {
-            Typed(TOp::kNotB);
-            *ty = STy::kBool;
-          } else {
-            *ty = FailTyped();
-          }
-        } else {
-          prog_.code_.push_back(Instr{Op::kNeg});
-          if (operand == STy::kLong) {
-            Typed(TOp::kNegI64);
-            *ty = STy::kLong;
-          } else if (operand == STy::kFloat) {
-            Typed(TOp::kNegF64);
-            *ty = STy::kFloat;
-          } else {
-            *ty = FailTyped();
-          }
-        }
+        return EmitLoad(node);
+      case NodeKind::kUnary:
+        EXO_RETURN_NOT_OK(Emit(*node.lhs));
+        prog_.code_.push_back(
+            Instr{node.unary_op == UnaryOp::kNot ? Op::kNot : Op::kNeg});
         return Status::OK();
-      }
       case NodeKind::kBinary:
-        return EmitBinary(node, ty);
+        return EmitBinary(node);
     }
     return Status::Internal("unknown expression node kind");
   }
 
-  Result<CompiledCondition> Finish(const Node& root, STy root_ty) {
+  Result<CompiledCondition> Finish(const Node& root) {
     if (prog_.max_stack_ > CompiledCondition::kMaxStack) {
       return Status::Unsupported("condition needs " +
                                  std::to_string(prog_.max_stack_) +
@@ -128,16 +82,6 @@ class ConditionEmitter {
     }
     prog_.source_ = root.ToString();
     prog_.bound_type_ = shape_.type_name();
-    if (typed_ok_ && root_ty != STy::kNone && !tcode_.empty()) {
-      prog_.typed_code_ = std::move(tcode_);
-      prog_.tconsts_ = std::move(tconsts_);
-      switch (root_ty) {
-        case STy::kLong: prog_.typed_result_ = ScalarType::kLong; break;
-        case STy::kFloat: prog_.typed_result_ = ScalarType::kFloat; break;
-        case STy::kBool: prog_.typed_result_ = ScalarType::kBool; break;
-        default: break;
-      }
-    }
     return std::move(prog_);
   }
 
@@ -147,61 +91,14 @@ class ConditionEmitter {
     prog_.max_stack_ = std::max(prog_.max_stack_, depth_);
   }
 
-  // --- typed-stream helpers (no-ops once the typing pass has failed) ----
-
-  STy FailTyped() {
-    typed_ok_ = false;
-    return STy::kNone;
-  }
-
-  void Typed(TOp op, uint32_t a = 0, uint32_t b = 0) {
-    if (typed_ok_) tcode_.push_back(TInstr{op, a, b});
-  }
-
-  void TypedConst(TOp op, TCell cell) {
-    if (!typed_ok_) return;
-    tcode_.push_back(TInstr{op, static_cast<uint32_t>(tconsts_.size())});
-    tconsts_.push_back(cell);
-  }
-
-  /// Widens a long operand of a mixed/double-compared binary op. `under`
-  /// converts the lhs (one below the top of stack), emitted after both
-  /// operands are on the stack.
-  void Widen(bool under) {
-    Typed(under ? TOp::kI64ToF64Under : TOp::kI64ToF64);
-  }
-
-  STy PushConst(data::Value v) {
+  void PushConst(data::Value v) {
     prog_.code_.push_back(
         Instr{Op::kConst, static_cast<uint32_t>(prog_.consts_.size())});
-    STy ty;
-    TCell cell;
-    switch (v.type()) {
-      case ScalarType::kLong:
-        cell.i = v.as_long();
-        TypedConst(TOp::kConstI64, cell);
-        ty = STy::kLong;
-        break;
-      case ScalarType::kFloat:
-        cell.f = v.as_float();
-        TypedConst(TOp::kConstF64, cell);
-        ty = STy::kFloat;
-        break;
-      case ScalarType::kBool:
-        cell.b = v.as_bool();
-        TypedConst(TOp::kConstB, cell);
-        ty = STy::kBool;
-        break;
-      default:  // strings (and the unreachable null literal) stay generic
-        ty = FailTyped();
-        break;
-    }
     prog_.consts_.push_back(std::move(v));
     Grow(1);
-    return ty;
   }
 
-  Status EmitLoad(const Node& node, STy* ty) {
+  Status EmitLoad(const Node& node) {
     uint32_t slot = shape_.SlotIndex(node.identifier);
     if (slot == data::Container::kNoSlot) {
       return Status::Unsupported("condition references " + node.identifier +
@@ -212,66 +109,27 @@ class ConditionEmitter {
         name_pool_.emplace(node.identifier, prog_.names_.size());
     if (inserted) prog_.names_.push_back(node.identifier);
     prog_.code_.push_back(Instr{Op::kLoad, slot, it->second});
-    switch (STyOf(shape_.SlotType(slot))) {
-      case STy::kLong:
-        Typed(TOp::kLoadI64, slot, it->second);
-        *ty = STy::kLong;
-        break;
-      case STy::kFloat:
-        Typed(TOp::kLoadF64, slot, it->second);
-        *ty = STy::kFloat;
-        break;
-      case STy::kBool:
-        Typed(TOp::kLoadB, slot, it->second);
-        *ty = STy::kBool;
-        break;
-      default:  // string members keep the generic program
-        *ty = FailTyped();
-        break;
-    }
     prog_.min_slots_ = std::max(prog_.min_slots_, slot + 1);
     Grow(1);
     return Status::OK();
   }
 
-  Status EmitBinary(const Node& node, STy* ty) {
+  Status EmitBinary(const Node& node) {
     if (node.binary_op == BinaryOp::kAnd || node.binary_op == BinaryOp::kOr) {
       const bool is_and = node.binary_op == BinaryOp::kAnd;
-      STy lty = STy::kNone;
-      EXO_RETURN_NOT_OK(Emit(*node.lhs, &lty));
+      EXO_RETURN_NOT_OK(Emit(*node.lhs));
       --depth_;  // the jump pops the lhs...
       size_t jump_at = prog_.code_.size();
       prog_.code_.push_back(Instr{is_and ? Op::kAndJump : Op::kOrJump});
-      // Typed stream: the jump needs a statically boolean lhs (a non-bool
-      // would be the generic program's runtime type error).
-      size_t tjump_at = 0;
-      bool typed_jump = typed_ok_ && lty == STy::kBool;
-      if (typed_jump) {
-        tjump_at = tcode_.size();
-        tcode_.push_back(
-            TInstr{is_and ? TOp::kAndJumpFalse : TOp::kOrJumpTrue});
-      } else {
-        FailTyped();
-      }
-      STy rty = STy::kNone;
-      EXO_RETURN_NOT_OK(Emit(*node.rhs, &rty));
+      EXO_RETURN_NOT_OK(Emit(*node.rhs));
       prog_.code_.push_back(Instr{Op::kRequireBool, is_and ? 0u : 1u});
       // ...and the short-circuit path re-pushes the decided value, so both
       // paths leave exactly one result (rhs depth already counted it).
       prog_.code_[jump_at].a = static_cast<uint32_t>(prog_.code_.size());
-      if (typed_jump && typed_ok_ && rty == STy::kBool) {
-        // No typed RequireBool: the rhs is statically boolean.
-        tcode_[tjump_at].a = static_cast<uint32_t>(tcode_.size());
-        *ty = STy::kBool;
-      } else {
-        *ty = FailTyped();
-      }
       return Status::OK();
     }
-    STy lty = STy::kNone;
-    STy rty = STy::kNone;
-    EXO_RETURN_NOT_OK(Emit(*node.lhs, &lty));
-    EXO_RETURN_NOT_OK(Emit(*node.rhs, &rty));
+    EXO_RETURN_NOT_OK(Emit(*node.lhs));
+    EXO_RETURN_NOT_OK(Emit(*node.rhs));
     Op op;
     switch (node.binary_op) {
       case BinaryOp::kEq: op = Op::kEq; break;
@@ -289,101 +147,14 @@ class ConditionEmitter {
         return Status::Internal("unexpected binary operator");
     }
     prog_.code_.push_back(Instr{op});
-    *ty = EmitTypedBinary(node.binary_op, lty, rty);
     --depth_;  // two operands become one result
     return Status::OK();
-  }
-
-  /// Typed lowering of one binary operator given both operand types; the
-  /// operands are already on the typed stack. Returns the result type, or
-  /// kNone (poisoning the typed program) when the pair doesn't type —
-  /// including pairs whose execution would be the generic program's
-  /// runtime type error (string ordering, % on floats, AND on longs).
-  STy EmitTypedBinary(BinaryOp op, STy lty, STy rty) {
-    if (!typed_ok_ || lty == STy::kNone || rty == STy::kNone) {
-      return FailTyped();
-    }
-    const bool l_num = lty == STy::kLong || lty == STy::kFloat;
-    const bool r_num = rty == STy::kLong || rty == STy::kFloat;
-    const bool both_long = lty == STy::kLong && rty == STy::kLong;
-    switch (op) {
-      case BinaryOp::kEq:
-      case BinaryOp::kNeq: {
-        if (lty == STy::kBool && rty == STy::kBool) {
-          Typed(op == BinaryOp::kEq ? TOp::kCmpEqB : TOp::kCmpNeB);
-          return STy::kBool;
-        }
-        if (!l_num || !r_num) return FailTyped();
-        if (both_long) {
-          Typed(op == BinaryOp::kEq ? TOp::kCmpEqI64 : TOp::kCmpNeI64);
-        } else {
-          if (lty == STy::kLong) Widen(/*under=*/true);
-          if (rty == STy::kLong) Widen(/*under=*/false);
-          Typed(op == BinaryOp::kEq ? TOp::kCmpEqF64 : TOp::kCmpNeF64);
-        }
-        return STy::kBool;
-      }
-      case BinaryOp::kLt:
-      case BinaryOp::kLe:
-      case BinaryOp::kGt:
-      case BinaryOp::kGe: {
-        if (!l_num || !r_num) return FailTyped();  // string ordering: generic
-        TOp base;
-        switch (op) {
-          case BinaryOp::kLt: base = both_long ? TOp::kCmpLtI64 : TOp::kCmpLtF64; break;
-          case BinaryOp::kLe: base = both_long ? TOp::kCmpLeI64 : TOp::kCmpLeF64; break;
-          case BinaryOp::kGt: base = both_long ? TOp::kCmpGtI64 : TOp::kCmpGtF64; break;
-          default:            base = both_long ? TOp::kCmpGeI64 : TOp::kCmpGeF64; break;
-        }
-        if (!both_long) {
-          if (lty == STy::kLong) Widen(/*under=*/true);
-          if (rty == STy::kLong) Widen(/*under=*/false);
-        }
-        Typed(base);
-        return STy::kBool;
-      }
-      case BinaryOp::kMod:
-        if (!both_long) return FailTyped();  // kernel: '%' requires longs
-        Typed(TOp::kModI64);
-        return STy::kLong;
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv: {
-        if (!l_num || !r_num) return FailTyped();
-        if (both_long) {
-          switch (op) {
-            case BinaryOp::kAdd: Typed(TOp::kAddI64); break;
-            case BinaryOp::kSub: Typed(TOp::kSubI64); break;
-            case BinaryOp::kMul: Typed(TOp::kMulI64); break;
-            default: Typed(TOp::kDivI64); break;
-          }
-          return STy::kLong;
-        }
-        if (lty == STy::kLong) Widen(/*under=*/true);
-        if (rty == STy::kLong) Widen(/*under=*/false);
-        switch (op) {
-          case BinaryOp::kAdd: Typed(TOp::kAddF64); break;
-          case BinaryOp::kSub: Typed(TOp::kSubF64); break;
-          case BinaryOp::kMul: Typed(TOp::kMulF64); break;
-          default: Typed(TOp::kDivF64); break;
-        }
-        return STy::kFloat;
-      }
-      default:
-        return FailTyped();
-    }
   }
 
   const data::Container& shape_;
   CompiledCondition prog_;
   std::map<std::string, uint32_t> name_pool_;
   uint32_t depth_ = 0;
-  /// Typed stream under construction; abandoned on the first construct
-  /// the typing pass cannot prove.
-  bool typed_ok_ = true;
-  std::vector<TInstr> tcode_;
-  std::vector<TCell> tconsts_;
 };
 
 }  // namespace internal
@@ -392,9 +163,8 @@ Result<CompiledCondition> ConditionCompiler::Compile(
     const Node* root, const data::Container& shape) {
   if (root == nullptr) return CompiledCondition();
   internal::ConditionEmitter emitter(shape);
-  STy root_ty = STy::kNone;
-  EXO_RETURN_NOT_OK(emitter.Emit(*root, &root_ty));
-  return emitter.Finish(*root, root_ty);
+  EXO_RETURN_NOT_OK(emitter.Emit(*root));
+  return emitter.Finish(*root);
 }
 
 }  // namespace exotica::expr

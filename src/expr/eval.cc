@@ -37,7 +37,7 @@ namespace internal {
 
 Result<Value> CompareOp(BinaryOp op, const Value& a, const Value& b) {
   // Numeric pairs all route through the one shared double comparison
-  // (kernels.h), which every other evaluator replicates or transcribes.
+  // (kernels.h), which the compiled VM's numeric fast path shares.
   if (a.is_numeric() && b.is_numeric()) {
     EXO_ASSIGN_OR_RETURN(double da, a.ToDouble());
     EXO_ASSIGN_OR_RETURN(double db, b.ToDouble());

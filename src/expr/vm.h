@@ -1,5 +1,5 @@
 // CompiledCondition: slot-resolved postfix bytecode for condition
-// expressions, with an optional typed (monomorphic) program beside it.
+// expressions.
 //
 // The tree-walk evaluator (eval.h) resolves every identifier through a
 // virtual ValueResolver and a string-keyed Container::Get per reference —
@@ -11,28 +11,10 @@
 // fixed-size value stack and never touches a string or allocates on the
 // success path.
 //
-// Two programs can coexist in one CompiledCondition:
-//
-//   * the *generic* program, whose binary operators re-discover their
-//     operand kinds (long/float/string/bool) on every execution, exactly
-//     like the tree-walk; it exists for every compilable expression; and
-//   * the *typed* program, emitted only when the container layout's
-//     declared member scalar types let the compiler type the whole
-//     expression statically. Its instructions are monomorphic
-//     (kLoadI64, kCmpLtF64, kAndJumpFalse, ...) and run over a stack of
-//     raw machine scalars — no Value construction, no operand-kind
-//     switch, no type checks that the typing pass already discharged.
-//     Expressions the pass cannot fully type (string operands, mixed
-//     typing that would be a runtime type error, null literals) simply
-//     have no typed program and run the generic one.
-//
-// Semantics are exactly those of expr::Evaluate — both programs share (or
-// replicate instruction for instruction) the binary operator kernels in
-// expr::internal — including error *messages*, so the differential
-// property test can demand byte-identical outcomes across tree-walk,
-// generic VM, and typed VM. In particular the typed program widens long
-// comparisons through double exactly like internal::CompareOp, and its
-// division/modulo guards raise the kernels' exact errors. The tree-walk
+// Semantics are exactly those of expr::Evaluate — the binary operators
+// share the kernels in expr::internal (kernels.h, eval.h) — including
+// error *messages*, so the differential property test can demand
+// byte-identical outcomes between the tree-walk and the VM. The tree-walk
 // stays as the reference implementation and the fallback for expressions
 // the compiler cannot bind (see compile.h).
 //
@@ -60,8 +42,8 @@ class ConditionEmitter;
 /// \brief A compiled, slot-resolved condition program.
 class CompiledCondition {
  public:
-  /// \brief Postfix opcodes of the generic program. Binary operators pop
-  /// two operands and push one result; loads and constants push one value.
+  /// \brief Postfix opcodes. Binary operators pop two operands and push
+  /// one result; loads and constants push one value.
   enum class Op : uint8_t {
     kConst,  ///< push consts[a]
     kLoad,   ///< push container slot `a` (declared default if unwritten);
@@ -85,45 +67,6 @@ class CompiledCondition {
     uint32_t b = 0;  ///< kLoad: index into the identifier-name pool
   };
 
-  /// \brief Monomorphic opcodes of the typed program. The typing pass has
-  /// already proven every operand's scalar type, so these ops carry no
-  /// runtime type dispatch; only the data-dependent errors survive (null
-  /// member reads, division/modulo by zero).
-  enum class TOp : uint8_t {
-    kConstI64, kConstF64, kConstB,  ///< push tconsts[a]
-    kLoadI64, kLoadF64, kLoadB,     ///< push slot `a` (null read errors,
-                                    ///< names[b] names the identifier)
-    kI64ToF64,       ///< widen the top of stack long → double
-    kI64ToF64Under,  ///< widen the long *below* the top (lhs of a mixed op)
-    kNotB, kNegI64, kNegF64,
-    // Comparisons push bool. The I64 variants widen through double
-    // internally so they order exactly like internal::CompareOp.
-    kCmpEqI64, kCmpNeI64, kCmpLtI64, kCmpLeI64, kCmpGtI64, kCmpGeI64,
-    kCmpEqF64, kCmpNeF64, kCmpLtF64, kCmpLeF64, kCmpGtF64, kCmpGeF64,
-    kCmpEqB, kCmpNeB,
-    // Arithmetic (long op long stays long, as in the kernel; division and
-    // modulo guard zero and raise the kernels' exact errors).
-    kAddI64, kSubI64, kMulI64, kDivI64, kModI64,
-    kAddF64, kSubF64, kMulF64, kDivF64,
-    kAndJumpFalse,  ///< pop bool v; if !v push FALSE and jump to a
-    kOrJumpTrue,    ///< pop bool v; if v push TRUE and jump to a
-  };
-
-  /// \brief One fixed-width typed instruction.
-  struct TInstr {
-    TOp op;
-    uint32_t a = 0;  ///< const index / slot index / jump target
-    uint32_t b = 0;  ///< loads: index into the identifier-name pool
-  };
-
-  /// \brief One typed operand-stack slot: a raw machine scalar whose kind
-  /// the program knows statically.
-  union TCell {
-    int64_t i;
-    double f;
-    bool b;
-  };
-
   /// Value-stack capacity; expressions needing more fail to compile and
   /// fall back to the tree-walk.
   static constexpr uint32_t kMaxStack = 64;
@@ -133,32 +76,13 @@ class CompiledCondition {
 
   /// Evaluates against `container`, which must have the layout the program
   /// was compiled against (same TypeRegistry flatten of bound_type()).
-  /// Runs the typed program when one was emitted, the generic otherwise.
   Result<data::Value> Evaluate(const data::Container& container) const;
 
   /// Evaluates and requires a boolean result.
   Result<bool> EvaluateBool(const data::Container& container) const;
 
-  /// Forces the generic program even when a typed one exists (A/B
-  /// benchmarking and the three-way differential test).
-  Result<data::Value> EvaluateGeneric(const data::Container& container) const;
-  Result<bool> EvaluateBoolGeneric(const data::Container& container) const;
-
   bool empty() const { return code_.empty(); }
   const std::vector<Instr>& code() const { return code_; }
-  /// True when the typing pass emitted a monomorphic program.
-  bool typed() const { return !typed_code_.empty(); }
-  const std::vector<TInstr>& typed_code() const { return typed_code_; }
-  /// Typed-program constant pool (TInstr::a of the kConst* ops). Exported
-  /// for the native step-program emitter, which folds these cells into
-  /// immediates at code-generation time.
-  const std::vector<TCell>& typed_consts() const { return tconsts_; }
-  /// Identifier text per load instruction's TInstr::b / Instr::b (error
-  /// messages only). Exported so the native emitter's bailout wrapper can
-  /// rebuild the exact null-read error string.
-  const std::vector<std::string>& names() const { return names_; }
-  /// Statically inferred scalar type of the result (kNull when untyped).
-  data::ScalarType typed_result() const { return typed_result_; }
   /// Canonical source text of the compiled expression ("TRUE" if empty).
   const std::string& source() const { return source_; }
   /// Container type the slot bindings were resolved against.
@@ -170,27 +94,15 @@ class CompiledCondition {
  private:
   friend class internal::ConditionEmitter;
 
-  /// The generic dispatch loop over a caller-provided operand stack of at
-  /// least max_stack() slots; EvaluateGeneric sizes the stack to the
-  /// program.
+  /// The dispatch loop over a caller-provided operand stack of at least
+  /// max_stack() slots; Evaluate sizes the stack to the program.
   Result<data::Value> Run(const data::Container& container,
                           data::Value* stack) const;
-
-  /// The typed dispatch loop; returns the raw result cell (its kind is
-  /// typed_result_).
-  Result<TCell> RunTyped(const data::Container& container) const;
-
-  /// Shared layout guard for both programs.
-  Status CheckReadable(const data::Container& container) const;
 
   std::vector<Instr> code_;
   std::vector<data::Value> consts_;
   /// Identifier text per kLoad (only consulted to build error messages).
   std::vector<std::string> names_;
-  /// The typed program (empty when the expression didn't fully type).
-  std::vector<TInstr> typed_code_;
-  std::vector<TCell> tconsts_;
-  data::ScalarType typed_result_ = data::ScalarType::kNull;
   std::string source_ = "TRUE";
   std::string bound_type_;
   uint32_t max_stack_ = 0;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 
-#include "codegen/step_jit.h"
 #include "expr/compile.h"
 #include "wf/process.h"
 
@@ -122,10 +122,9 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
     }
   }
 
-  // Flat eval-slot offsets: connector evaluations live in two
-  // instance-wide arrays (one alloc each per instance, not two per
-  // activity); each activity owns the contiguous range starting at its
-  // base.
+  // Eval-slot offsets: connector evaluations live in two instance-wide
+  // planes of the hot block; each activity owns the contiguous range
+  // starting at its base.
   for (ActivityInfo& info : plan.activities_) {
     info.in_eval_base = plan.in_eval_total_;
     info.out_eval_base = plan.out_eval_total_;
@@ -135,48 +134,15 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
   plan.hot_ =
       HotLayout::Compute(n, plan.in_eval_total_, plan.out_eval_total_);
 
-  // Fuse each activity's outgoing sweep into a straight-line step
-  // program: non-otherwise connectors in slot order (the interpreted
-  // sweep's first loop), then otherwise connectors in slot order (its
-  // second loop), then kEnd. Eval kinds, connector indices, absolute
-  // out_evals slots, and condition program ids are all resolved here so
-  // the runtime dispatch does no per-connector discovery. The resolver
-  // bits ride along: a sweep needs an expr::ContainerResolver only for
-  // tree-walked conditions (needs_resolver), or for any condition at all
-  // when the engine runs with the condition VM off (has_cond_out).
-  for (uint32_t id = 0; id < n; ++id) {
-    ActivityInfo& info = plan.activities_[id];
-    info.step_base = static_cast<uint32_t>(plan.step_code_.size());
-    for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-      const uint32_t cidx = info.out_control[slot];
-      const ConnectorInfo& ci = plan.connectors_[cidx];
-      if (ci.is_otherwise) continue;
-      StepInstr si;
-      si.cidx = cidx;
-      si.out_idx = info.out_eval_base + slot;
-      if (ci.trivial) {
-        si.op = StepInstr::Op::kTrivial;
-      } else if (ci.cond_vm >= 0) {
-        si.op = StepInstr::Op::kVm;
-        si.prog = ci.cond_vm;
-        info.has_cond_out = true;
-      } else {
-        si.op = StepInstr::Op::kTree;
-        info.needs_resolver = true;
-        info.has_cond_out = true;
-      }
-      plan.step_code_.push_back(si);
-    }
-    for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-      const uint32_t cidx = info.out_control[slot];
-      if (!plan.connectors_[cidx].is_otherwise) continue;
-      StepInstr si;
-      si.op = StepInstr::Op::kOtherwise;
-      si.cidx = cidx;
-      si.out_idx = info.out_eval_base + slot;
-      plan.step_code_.push_back(si);
-    }
-    plan.step_code_.push_back(StepInstr{});  // kEnd
+  // Resolver bits for the outgoing sweep: it reads the source output
+  // container only when some connector is conditioned (has_cond_out), and
+  // needs an expr::ContainerResolver only for conditions left to the
+  // tree-walk (needs_resolver).
+  for (const ConnectorInfo& ci : plan.connectors_) {
+    if (ci.trivial || ci.is_otherwise) continue;
+    ActivityInfo& src = plan.activities_[ci.from];
+    src.has_cond_out = true;
+    if (ci.cond_vm < 0) src.needs_resolver = true;
   }
 
   // Data connectors: per-source fan-out lists plus resolved targets.
@@ -230,11 +196,6 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
             [&acts](uint32_t a, uint32_t b) {
               return acts[a].name < acts[b].name;
             });
-
-  // Last ladder rung: lower the step programs (and their typed condition
-  // programs) to native code. Always attempted — the engine option only
-  // gates dispatch — and null on platforms without the emitter.
-  plan.native_unit_ = codegen::CompileStepPrograms(plan);
 
   return plan;
 }

@@ -20,14 +20,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "expr/vm.h"
-
-namespace exotica::codegen {
-class NativeStepUnit;
-}  // namespace exotica::codegen
 
 namespace exotica::wf {
 
@@ -36,14 +31,12 @@ class ProcessDefinition;
 /// \brief Byte offsets of the packed per-instance *hot block* (see
 /// docs/specs/instance_layout.md).
 ///
-/// With EngineOptions::packed_instance_state the per-activity hot fields
-/// live in one contiguous byte block instead of striding fat
-/// ActivityRuntime structs: a dense state byte per activity, the
-/// ready-queue dedup byte, the two connector-eval planes, and 4-aligned
-/// int32 attempt/failures arrays. The layout is fixed per plan, so an
-/// InstanceArena can preformat the whole block as a single memcpy-able
-/// image. Cold per-activity state (containers, work items, child links)
-/// stays out of the block entirely.
+/// The per-activity hot fields live in one contiguous byte block: a dense
+/// state byte per activity, the ready-queue dedup byte, the two
+/// connector-eval planes, and 4-aligned int32 attempt/failures arrays.
+/// The layout is fixed per plan, so an InstanceArena can preformat the
+/// whole block as a single memcpy-able image. Cold per-activity state
+/// (containers, work items, child links) stays out of the block entirely.
 struct HotLayout {
   uint32_t state_base = 0;     ///< n bytes: ActivityState per activity
   uint32_t enqueued_base = 0;  ///< n bytes: ready-queue dedup bitmap
@@ -80,33 +73,6 @@ static_assert(HotLayout::Compute(1, 0, 0).attempt_base % 4 == 0);
 static_assert(HotLayout::Compute(1000, 999, 999).attempt_base % 4 == 0);
 static_assert(HotLayout::Compute(0, 0, 0).size == 0);
 
-/// \brief One instruction of an activity's fused outgoing-sweep *step
-/// program* (see docs/specs/step_program.md).
-///
-/// At plan build time the entire outgoing sweep of each activity — the
-/// non-otherwise connector loop, otherwise resolution, and the journal /
-/// audit emission order — is compiled into one straight-line instruction
-/// sequence: connector indices, absolute out_evals slots, and condition
-/// program ids are resolved here so the runtime dispatch loop
-/// (Engine::RunStepProgram) does no per-connector kind discovery. The
-/// instruction stream for activity `a` starts at
-/// ActivityInfo::step_base and is terminated by kEnd; non-otherwise
-/// instructions always precede kOtherwise ones, preserving the
-/// interpreted sweep's journal record order byte for byte.
-struct StepInstr {
-  enum class Op : uint8_t {
-    kTrivial,    ///< unconditioned connector: fires true
-    kVm,         ///< conditioned, VM-compiled: run vm_program(prog)
-    kTree,       ///< conditioned, unbindable: tree-walk the condition
-    kOtherwise,  ///< OTHERWISE connector: true iff no sibling fired
-    kEnd,        ///< end of this activity's program
-  };
-  Op op = Op::kEnd;
-  uint32_t cidx = 0;     ///< control connector index
-  uint32_t out_idx = 0;  ///< absolute slot in the instance's out_evals
-  int32_t prog = -1;     ///< kVm: index into vm_program()
-};
-
 /// \brief Immutable compiled navigation index for one ProcessDefinition.
 class NavigationPlan {
  public:
@@ -125,23 +91,20 @@ class NavigationPlan {
     /// Join fan-in (== in_control.size(), cached for the join decision).
     uint32_t join_fan_in = 0;
     /// Offsets of this activity's connector-evaluation slots inside the
-    /// instance-wide flat eval arrays (prefix sums of the in/out adjacency
-    /// sizes; see ProcessInstance::in_evals).
+    /// instance-wide eval planes (prefix sums of the in/out adjacency
+    /// sizes; see ProcessInstance::in_eval_abs).
     uint32_t in_eval_base = 0;
     uint32_t out_eval_base = 0;
-    /// Start of this activity's step program inside step_program(0)'s
-    /// flat instruction array (terminated by StepInstr::Op::kEnd).
-    uint32_t step_base = 0;
     bool manual = false;       ///< StartMode::kManual
     bool block = false;        ///< ActivityKind::kProcess
     bool or_join = false;      ///< JoinKind::kOr
     bool trivial_exit = true;  ///< exit condition is always-true
     /// True when some outgoing connector must tree-walk its condition
     /// (non-trivial, non-otherwise, and not VM-compiled) — the only case
-    /// the sweep needs an expr::ContainerResolver when the VM is on.
+    /// the sweep needs an expr::ContainerResolver.
     bool needs_resolver = false;
     /// True when any outgoing connector carries a non-trivial condition
-    /// (the sweep needs a resolver whenever the condition VM is off).
+    /// (the sweep reads the activity's output container).
     bool has_cond_out = false;
     /// Compiled exit-condition program (index into vm_program()), or -1
     /// when the condition is trivial or couldn't be bound (tree-walk).
@@ -204,7 +167,7 @@ class NavigationPlan {
   const std::vector<uint32_t>& ids_by_name() const { return by_name_; }
 
   /// Total incoming / outgoing eval slots across all activities — the
-  /// sizes of the instance-wide flat eval arrays.
+  /// sizes of the instance-wide eval planes.
   uint32_t in_eval_total() const { return in_eval_total_; }
   uint32_t out_eval_total() const { return out_eval_total_; }
 
@@ -221,22 +184,6 @@ class NavigationPlan {
   /// TypeRegistry).
   size_t vm_program_count() const { return vm_programs_.size(); }
 
-  /// The step program starting at `base` (an ActivityInfo::step_base).
-  /// The returned pointer stays valid for the plan's lifetime; the
-  /// program ends at its kEnd instruction.
-  const StepInstr* step_program(uint32_t base) const {
-    return &step_code_[base];
-  }
-
-  /// Native x86-64 functions compiled from the step programs, or null when
-  /// native codegen is unavailable on this build/platform (and on plans
-  /// whose arena could not be sealed). Shared so engines can pin the code
-  /// past the plan if they ever need to; dispatch is gated engine-side by
-  /// EngineOptions::use_native_step_programs.
-  const std::shared_ptr<const codegen::NativeStepUnit>& native_unit() const {
-    return native_unit_;
-  }
-
  private:
   std::vector<ActivityInfo> activities_;
   std::vector<ConnectorInfo> connectors_;
@@ -246,12 +193,9 @@ class NavigationPlan {
   std::vector<uint32_t> topo_;
   std::vector<uint32_t> by_name_;
   std::vector<expr::CompiledCondition> vm_programs_;
-  /// Concatenated per-activity step programs (each kEnd-terminated).
-  std::vector<StepInstr> step_code_;
   uint32_t in_eval_total_ = 0;
   uint32_t out_eval_total_ = 0;
   HotLayout hot_;
-  std::shared_ptr<const codegen::NativeStepUnit> native_unit_;
 };
 
 }  // namespace exotica::wf

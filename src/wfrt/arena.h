@@ -1,15 +1,12 @@
 // Per-plan instance spin-up arena.
 //
-// Instance initialization used to walk the engine's prototype map once per
-// activity container (two lookups + a container construction per activity,
-// per instance). The arena precomputes, once per process definition, a
-// fully preformatted image of the whole ActivityRuntime vector — every
-// input/output container instantiated — plus the process input/output
-// containers. Starting (or adopting) an instance then reduces to copying
-// that image: with the lazy-valued flat-layout containers this is a
-// handful of vector copies sharing the immutable container layouts (and
-// two flat connector-eval arrays sized per instance), instead of a
-// prototype-map walk per activity.
+// The arena precomputes, once per process definition, everything an
+// instance starts from: the preformatted hot block (plan->hot() layout)
+// and one input/output container prototype per activity. Starting (or
+// adopting) an instance then reduces to one copy of the hot block plus a
+// default-constructed cold sidecar; cold containers are copied from the
+// prototypes on first touch, sharing the immutable container layouts
+// instead of walking the type registry.
 //
 // Arenas are immutable after Build and hold no pointers into the engine,
 // so a fleet shares one arena per definition across all of its engines:
@@ -23,12 +20,12 @@
 #ifndef EXOTICA_WFRT_ARENA_H_
 #define EXOTICA_WFRT_ARENA_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
 #include "data/container.h"
 #include "data/types.h"
-#include "wfrt/instance.h"
 
 namespace exotica::wf {
 class ProcessDefinition;
@@ -39,8 +36,9 @@ namespace exotica::wfrt {
 /// \brief Preformatted spin-up image for one ProcessDefinition.
 class InstanceArena {
  public:
-  /// Builds the image: one ActivityRuntime per activity with containers
-  /// instantiated from `types` (same-typed containers share one layout).
+  /// Builds the image: the preformatted hot block plus input/output
+  /// container prototypes per activity, instantiated from `types`
+  /// (same-typed containers share one layout).
   static Result<InstanceArena> Build(const wf::ProcessDefinition& definition,
                                      const data::TypeRegistry& types);
 
@@ -48,26 +46,26 @@ class InstanceArena {
   const data::Container& input() const { return input_; }
   const data::Container& output() const { return output_; }
 
-  /// The preformatted ActivityRuntime image, indexed by activity id. In
-  /// the packed layout this doubles as the prototype source that cold
-  /// containers materialize from on first touch.
-  const std::vector<ActivityRuntime>& activities() const {
-    return activities_;
+  /// Activity `aid`'s input/output container prototypes — what cold
+  /// containers materialize from on first touch, and what a fresh
+  /// attempt's output container is copied from.
+  const data::Container& activity_input(uint32_t aid) const {
+    return activity_inputs_[aid];
+  }
+  const data::Container& activity_output(uint32_t aid) const {
+    return activity_outputs_[aid];
   }
 
-  /// The preformatted packed hot block (plan->hot() layout): zeroed state
-  /// / enqueued / attempt / failures planes, connector-eval planes filled
-  /// with -1 (not yet evaluated). Packed spin-up is one copy of this.
+  /// The preformatted hot block (plan->hot() layout): zeroed state /
+  /// enqueued / attempt / failures planes, connector-eval planes filled
+  /// with -1 (not yet evaluated). Spin-up is one copy of this.
   const std::vector<uint8_t>& hot_image() const { return hot_; }
-
-  uint32_t activity_count() const {
-    return static_cast<uint32_t>(activities_.size());
-  }
 
  private:
   data::Container input_;
   data::Container output_;
-  std::vector<ActivityRuntime> activities_;
+  std::vector<data::Container> activity_inputs_;
+  std::vector<data::Container> activity_outputs_;
   std::vector<uint8_t> hot_;
 };
 

@@ -55,10 +55,6 @@ Engine::Engine(const wf::DefinitionStore* definitions, ProgramRegistry* programs
       clock_(options.clock != nullptr ? options.clock
                                       : SystemClock::Default()) {
   audit_.set_max_events(options_.max_audit_events);
-  // Native dispatch sits on top of the whole ladder: it inlines typed
-  // condition programs, so turning any lower rung off turns it off too.
-  native_enabled_ = options_.use_native_step_programs &&
-                    options_.use_condition_vm && options_.use_typed_conditions;
 }
 
 Status Engine::AttachJournal(wfjournal::Journal* journal) {
@@ -231,16 +227,10 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
         inst.input.Serialize()));
   }
 
-  uint32_t index = static_cast<uint32_t>(instances_.size());
-  inst.index = index;
-  instances_.push_back(std::move(inst));
-  instance_index_.emplace(id, index);
-  instance_order_.push_back(id);
+  EXO_RETURN_NOT_OK(InitializeRuntimes(&inst));
+  ProcessInstance* p = CommitInstance(std::move(inst));
   ++stats_.instances_started;
   Audit(AuditKind::kInstanceStarted, id, "", def->name());
-
-  ProcessInstance* p = &instances_[index];
-  EXO_RETURN_NOT_OK(InitializeRuntimes(p));
 
   if (!parent_instance.empty()) {
     EXO_ASSIGN_OR_RETURN(ProcessInstance* parent,
@@ -256,10 +246,7 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
 
 Result<const InstanceArena*> Engine::ArenaFor(const wf::ProcessDefinition* def) {
   auto shared = shared_arenas_.find(def);
-  if (shared != shared_arenas_.end()) {
-    ++stats_.arena_shared_hits;
-    return shared->second;
-  }
+  if (shared != shared_arenas_.end()) return shared->second;
   auto it = arenas_.find(def);
   if (it == arenas_.end()) {
     EXO_ASSIGN_OR_RETURN(InstanceArena arena,
@@ -270,52 +257,15 @@ Result<const InstanceArena*> Engine::ArenaFor(const wf::ProcessDefinition* def) 
 }
 
 Status Engine::InitializeRuntimes(ProcessInstance* inst) {
+  // One copy of the arena's preformatted hot block plus a
+  // default-constructed cold sidecar — no per-activity container copies at
+  // spin-up; cold containers materialize on first touch.
+  EXO_ASSIGN_OR_RETURN(const InstanceArena* arena, ArenaFor(inst->definition));
   const wf::NavigationPlan& plan = *inst->plan;
-  uint32_t n = plan.activity_count();
-  if (options_.packed_instance_state) {
-    // Packed layout: one copy of the arena's preformatted hot block plus
-    // a default-constructed cold sidecar — no per-activity container
-    // copies at spin-up; cold containers materialize on first touch.
-    inst->packed = true;
-    inst->hl = plan.hot();
-    if (options_.spinup_arena) {
-      EXO_ASSIGN_OR_RETURN(const InstanceArena* arena,
-                           ArenaFor(inst->definition));
-      inst->arena = arena;
-      inst->hot = arena->hot_image();
-      ++stats_.arena_spinups;
-    } else {
-      const wf::HotLayout& hl = plan.hot();
-      inst->hot.assign(hl.size, 0);
-      std::fill(inst->hot.begin() + hl.in_eval_base,
-                inst->hot.begin() + hl.in_eval_base + plan.in_eval_total(),
-                static_cast<uint8_t>(-1));
-      std::fill(inst->hot.begin() + hl.out_eval_base,
-                inst->hot.begin() + hl.out_eval_base + plan.out_eval_total(),
-                static_cast<uint8_t>(-1));
-    }
-    inst->cold.resize(n);
-  } else if (options_.spinup_arena) {
-    // One vector copy of the preformatted image; the flat-layout
-    // containers inside share their immutable layouts by refcount.
-    EXO_ASSIGN_OR_RETURN(const InstanceArena* arena,
-                         ArenaFor(inst->definition));
-    inst->activities = arena->activities();
-    ++stats_.arena_spinups;
-  } else {
-    const std::vector<wf::Activity>& acts = inst->definition->activities();
-    inst->activities.resize(n);
-    for (uint32_t aid = 0; aid < n; ++aid) {
-      ActivityRuntime& rt = inst->activities[aid];
-      EXO_ASSIGN_OR_RETURN(rt.input, NewContainer(acts[aid].input_type));
-      EXO_ASSIGN_OR_RETURN(rt.output, NewContainer(acts[aid].output_type));
-    }
-  }
-  if (!inst->packed) {
-    inst->in_evals.assign(plan.in_eval_total(), -1);
-    inst->out_evals.assign(plan.out_eval_total(), -1);
-    inst->enqueued.assign(n, 0);
-  }
+  inst->arena = arena;
+  inst->hl = plan.hot();
+  inst->hot = arena->hot_image();
+  inst->cold.resize(plan.activity_count());
   // Process-input data connectors materialize target inputs immediately.
   for (uint32_t d : plan.input_data()) {
     const wf::DataConnector& dc = inst->definition->data_connectors()[d];
@@ -324,7 +274,7 @@ Status Engine::InitializeRuntimes(ProcessInstance* inst) {
     if (to == wf::NavigationPlan::kProcessOutput) {
       target = &inst->output;
     } else {
-      EXO_RETURN_NOT_OK(MaterializeActivityInput(inst, to));
+      MaterializeActivityInput(inst, to);
       target = &inst->activity_input(to);
     }
     EXO_RETURN_NOT_OK(dc.mapping.Apply(inst->input, target));
@@ -332,30 +282,14 @@ Status Engine::InitializeRuntimes(ProcessInstance* inst) {
   return Status::OK();
 }
 
-Status Engine::MaterializeActivityInput(ProcessInstance* inst, uint32_t aid) {
-  if (!inst->packed) return Status::OK();
+void Engine::MaterializeActivityInput(ProcessInstance* inst, uint32_t aid) {
   data::Container& c = inst->cold[aid].input;
-  if (!c.type_name().empty()) return Status::OK();
-  if (inst->arena != nullptr) {
-    c = inst->arena->activities()[aid].input;
-    return Status::OK();
-  }
-  EXO_ASSIGN_OR_RETURN(
-      c, NewContainer(inst->definition->activities()[aid].input_type));
-  return Status::OK();
+  if (c.type_name().empty()) c = inst->arena->activity_input(aid);
 }
 
-Status Engine::MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid) {
-  if (!inst->packed) return Status::OK();
+void Engine::MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid) {
   data::Container& c = inst->cold[aid].output;
-  if (!c.type_name().empty()) return Status::OK();
-  if (inst->arena != nullptr) {
-    c = inst->arena->activities()[aid].output;
-    return Status::OK();
-  }
-  EXO_ASSIGN_OR_RETURN(
-      c, NewContainer(inst->definition->activities()[aid].output_type));
-  return Status::OK();
+  if (c.type_name().empty()) c = inst->arena->activity_output(aid);
 }
 
 Status Engine::ReadyStartActivities(ProcessInstance* inst) {
@@ -471,18 +405,11 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
 
   const int32_t attempt = ++inst->attempt(aid);
   inst->SetState(aid, ActivityState::kRunning);
-  EXO_RETURN_NOT_OK(MaterializeActivityInput(inst, aid));
+  MaterializeActivityInput(inst, aid);
   // Fresh output container per attempt: a half-written image from a failed
-  // attempt must not leak into the next one. The packed layout takes the
-  // fresh container from the arena's preformatted prototype — one
-  // container copy instead of a type-registry walk (the prototype IS
-  // NewContainer's result, so the two paths are indistinguishable).
-  if (inst->packed && inst->arena != nullptr) {
-    inst->cold[aid].output = inst->arena->activities()[aid].output;
-  } else {
-    EXO_ASSIGN_OR_RETURN(inst->activity_output(aid),
-                         NewContainer(def.output_type));
-  }
+  // attempt must not leak into the next one. One copy of the arena's
+  // preformatted prototype instead of a type-registry walk.
+  inst->activity_output(aid) = inst->arena->activity_output(aid);
   if (journal_ != nullptr) {
     EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityStarted,
                                     inst->id, def.name, "", false,
@@ -694,7 +621,7 @@ Status Engine::HandleFinished(ProcessInstance* inst, uint32_t aid) {
   } else {
     const data::Container& out = inst->activity_output(aid);
     Result<bool> exit_result = [&]() -> Result<bool> {
-      if (info.exit_vm >= 0 && options_.use_condition_vm) {
+      if (info.exit_vm >= 0) {
         return EvalVmCondition(inst, info.exit_vm, out);
       }
       ++stats_.tree_condition_evals;
@@ -776,107 +703,37 @@ Result<bool> Engine::EvalVmCondition(const ProcessInstance* inst,
                                      int32_t index,
                                      const data::Container& input) {
   ++stats_.vm_condition_evals;
-  const expr::CompiledCondition& prog = inst->plan->vm_program(index);
-  if (prog.typed() && options_.use_typed_conditions) {
-    ++stats_.typed_condition_evals;
-    return prog.EvaluateBool(input);
-  }
-  return prog.EvaluateBoolGeneric(input);
+  return inst->plan->vm_program(index).EvaluateBool(input);
 }
 
 Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
                                 bool all_false) {
-  if (options_.use_step_programs) {
-    if (native_enabled_) {
-      Status native_status = Status::OK();
-      if (TryNativeStepProgram(inst, aid, all_false, &native_status)) {
-        return native_status;
-      }
-    }
-    return RunStepProgram(inst, aid, all_false);
-  }
-
   const wf::NavigationPlan& plan = *inst->plan;
   const wf::NavigationPlan::ActivityInfo& info = plan.activity(aid);
   const std::vector<wf::ControlConnector>& connectors =
       inst->definition->control_connectors();
 
-  bool any_true = false;
-  // Fresh evaluations are delivered only after every sibling connector is
-  // journaled, so a successor's join never fires on a partial picture.
-  std::vector<std::pair<uint32_t, bool>> fresh;
-
-  // A conditioned sweep reads the source output container (packed cold
-  // containers materialize on first touch).
-  if (!all_false && info.has_cond_out) {
-    EXO_RETURN_NOT_OK(MaterializeActivityOutput(inst, aid));
-  }
+  // A conditioned sweep reads the source output container (cold
+  // containers materialize on first touch; dead-path sweeps never read
+  // it).
+  if (!all_false && info.has_cond_out) MaterializeActivityOutput(inst, aid);
   const data::Container& out = inst->activity_output(aid);
 
   // Every outgoing connector reads the same source output container, so
   // one resolver serves the whole sweep — but only tree-walked conditions
-  // consult it, so the plan's resolver bits let trivial/VM-only sweeps
+  // consult it, so the plan's resolver bit lets trivial/VM-only sweeps
   // (and all-false dead-path sweeps) skip constructing it entirely.
   std::optional<expr::ContainerResolver> resolver;
-  if (!all_false &&
-      (info.needs_resolver ||
-       (info.has_cond_out && !options_.use_condition_vm))) {
-    resolver.emplace(out);
-  }
+  if (!all_false && info.needs_resolver) resolver.emplace(out);
 
-  // Non-otherwise connectors first.
-  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-    uint32_t cidx = info.out_control[slot];
-    const wf::NavigationPlan::ConnectorInfo& ci = plan.connector(cidx);
-    if (ci.is_otherwise) continue;
-    bool value;
-    if (inst->out_eval_abs(info.out_eval_base + slot) >= 0) {
-      value = inst->out_eval_abs(info.out_eval_base + slot) != 0;
-    } else {
-      if (all_false) {
-        value = false;
-      } else if (ci.trivial) {
-        value = true;  // unconditioned connector: no resolver needed
-      } else {
-        const wf::ControlConnector& c = connectors[cidx];
-        Result<bool> r = [&]() -> Result<bool> {
-          if (ci.cond_vm >= 0 && options_.use_condition_vm) {
-            return EvalVmCondition(inst, ci.cond_vm, out);
-          }
-          ++stats_.tree_condition_evals;
-          return c.condition.Evaluate(*resolver);
-        }();
-        if (!r.ok()) {
-          if (options_.condition_error_is_false) {
-            value = false;
-          } else {
-            return r.status().WithContext("transition condition " + c.from +
-                                          " -> " + c.to + " in " + inst->id);
-          }
-        } else {
-          value = r.value();
-        }
-      }
-      inst->out_eval_abs(info.out_eval_base + slot) = value ? 1 : 0;
-      ++stats_.connectors_evaluated;
-      const wf::ControlConnector& c = connectors[cidx];
-      if (journal_ != nullptr) {
-        EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kConnectorEval,
-                                        inst->id, c.from, c.to, value));
-      }
-      Audit(value ? AuditKind::kConnectorTrue : AuditKind::kConnectorFalse,
-            inst->id, c.from, c.to);
-      fresh.emplace_back(cidx, value);
-    }
-    any_true = any_true || value;
-  }
+  // Fresh evaluations are delivered only after every sibling connector is
+  // journaled, so a successor's join never fires on a partial picture.
+  std::vector<std::pair<uint32_t, bool>> fresh;
+  fresh.swap(fresh_scratch_);
+  fresh.clear();
 
-  // Otherwise connector fires iff all conditioned siblings were false.
-  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-    uint32_t cidx = info.out_control[slot];
-    if (!plan.connector(cidx).is_otherwise) continue;
-    if (inst->out_eval_abs(info.out_eval_base + slot) >= 0) continue;
-    bool value = all_false ? false : !any_true;
+  // Journals, audits, and queues one fresh evaluation.
+  auto record = [&](uint32_t slot, uint32_t cidx, bool value) -> Status {
     inst->out_eval_abs(info.out_eval_base + slot) = value ? 1 : 0;
     ++stats_.connectors_evaluated;
     const wf::ControlConnector& c = connectors[cidx];
@@ -887,11 +744,60 @@ Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
     Audit(value ? AuditKind::kConnectorTrue : AuditKind::kConnectorFalse,
           inst->id, c.from, c.to);
     fresh.emplace_back(cidx, value);
+    return Status::OK();
+  };
+
+  // Non-otherwise connectors first.
+  bool any_true = false;
+  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
+    uint32_t cidx = info.out_control[slot];
+    const wf::NavigationPlan::ConnectorInfo& ci = plan.connector(cidx);
+    if (ci.is_otherwise) continue;
+    const int8_t prior = inst->out_eval_abs(info.out_eval_base + slot);
+    if (prior >= 0) {
+      any_true = any_true || prior != 0;
+      continue;
+    }
+    bool value;
+    if (all_false) {
+      value = false;
+    } else if (ci.trivial) {
+      value = true;  // unconditioned connector: no resolver needed
+    } else {
+      const wf::ControlConnector& c = connectors[cidx];
+      Result<bool> r = [&]() -> Result<bool> {
+        if (ci.cond_vm >= 0) return EvalVmCondition(inst, ci.cond_vm, out);
+        ++stats_.tree_condition_evals;
+        return c.condition.Evaluate(*resolver);
+      }();
+      if (r.ok()) {
+        value = r.value();
+      } else if (options_.condition_error_is_false) {
+        value = false;
+      } else {
+        return r.status().WithContext("transition condition " + c.from +
+                                      " -> " + c.to + " in " + inst->id);
+      }
+    }
+    EXO_RETURN_NOT_OK(record(slot, cidx, value));
+    any_true = any_true || value;
+  }
+
+  // Otherwise connectors fire iff all conditioned siblings were false.
+  // They do not feed back into any_true, so sibling otherwise connectors
+  // all decide from the same picture.
+  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
+    uint32_t cidx = info.out_control[slot];
+    if (!plan.connector(cidx).is_otherwise) continue;
+    if (inst->out_eval_abs(info.out_eval_base + slot) >= 0) continue;
+    EXO_RETURN_NOT_OK(record(slot, cidx, all_false ? false : !any_true));
   }
 
   for (auto [cidx, value] : fresh) {
     EXO_RETURN_NOT_OK(DeliverSignal(inst, cidx, value));
   }
+  fresh.clear();
+  fresh_scratch_.swap(fresh);
   return Status::OK();
 }
 
@@ -931,7 +837,7 @@ Status Engine::ApplyJoin(ProcessInstance* inst, uint32_t aid) {
 Status Engine::PushData(ProcessInstance* inst, uint32_t aid) {
   const wf::NavigationPlan& plan = *inst->plan;
   if (!plan.activity(aid).out_data.empty()) {
-    EXO_RETURN_NOT_OK(MaterializeActivityOutput(inst, aid));
+    MaterializeActivityOutput(inst, aid);
   }
   for (uint32_t d : plan.activity(aid).out_data) {
     const wf::DataConnector& dc = inst->definition->data_connectors()[d];
@@ -940,7 +846,7 @@ Status Engine::PushData(ProcessInstance* inst, uint32_t aid) {
     if (to == wf::NavigationPlan::kProcessOutput) {
       target = &inst->output;
     } else {
-      EXO_RETURN_NOT_OK(MaterializeActivityInput(inst, to));
+      MaterializeActivityInput(inst, to);
       target = &inst->activity_input(to);
     }
     EXO_RETURN_NOT_OK(dc.mapping.Apply(inst->activity_output(aid), target));
@@ -1407,13 +1313,17 @@ Status Engine::Adopt(const DetachedInstance& detached) {
 }
 
 Status Engine::ApplyAdopt(const DetachedInstance& detached) {
-  // Decode and validate everything before touching engine state, so a bad
-  // image cannot leave a half-adopted family behind.
+  // Decode, validate, and build every member before committing any, so a
+  // bad image cannot leave a half-adopted family behind.
   std::vector<InstanceImage> images;
   images.reserve(detached.images.size());
   for (const std::string& encoded : detached.images) {
     EXO_ASSIGN_OR_RETURN(InstanceImage image, DecodeInstanceImage(encoded));
-    if (instance_index_.count(image.id) > 0) {
+    bool collision = instance_index_.count(image.id) > 0;
+    for (const InstanceImage& member : images) {
+      collision = collision || member.id == image.id;
+    }
+    if (collision) {
       return Status::FailedPrecondition("instance id collision adopting " +
                                         image.id +
                                         " (fleet id prefixes not set?)");
@@ -1428,80 +1338,89 @@ Status Engine::ApplyAdopt(const DetachedInstance& detached) {
     return Status::InvalidArgument("detached payload root mismatch for " +
                                    detached.root_id);
   }
-  for (const InstanceImage& image : images) {
-    EXO_RETURN_NOT_OK(MaterializeImage(image));
+  std::vector<ProcessInstance> family(images.size());
+  for (size_t i = 0; i < images.size(); ++i) {
+    EXO_RETURN_NOT_OK(BuildFromImage(images[i], &family[i]));
   }
+  for (ProcessInstance& member : family) CommitInstance(std::move(member));
   ++stats_.instances_stolen;
   Audit(AuditKind::kInstanceAdopted, detached.root_id, "",
         std::to_string(images.size()) + " instances");
   return Status::OK();
 }
 
-Status Engine::MaterializeImage(const InstanceImage& image) {
+Status Engine::BuildFromImage(const InstanceImage& image,
+                              ProcessInstance* inst) {
   EXO_ASSIGN_OR_RETURN(
       const wf::ProcessDefinition* def,
       definitions_->FindProcessVersion(image.process_name, image.version));
-  ProcessInstance inst;
-  inst.id = image.id;
-  inst.definition = def;
-  inst.plan = &def->plan();
-  inst.parent_instance = image.parent_instance;
-  inst.parent_activity = image.parent_activity;
-  EXO_ASSIGN_OR_RETURN(inst.input, NewContainer(def->input_type()));
-  EXO_RETURN_NOT_OK(inst.input.Deserialize(image.input_image));
-  EXO_ASSIGN_OR_RETURN(inst.output, NewContainer(def->output_type()));
-  EXO_RETURN_NOT_OK(inst.output.Deserialize(image.output_image));
-
-  uint32_t index = static_cast<uint32_t>(instances_.size());
-  inst.index = index;
-  instances_.push_back(std::move(inst));
-  instance_index_.emplace(image.id, index);
-  instance_order_.push_back(image.id);
-  ProcessInstance* p = &instances_[index];
-  // Arena spin-up, then overlay the imaged state on the fresh runtimes.
-  EXO_RETURN_NOT_OK(InitializeRuntimes(p));
-  if (image.activities.size() != p->activity_count()) {
+  inst->id = image.id;
+  inst->definition = def;
+  inst->plan = &def->plan();
+  inst->parent_instance = image.parent_instance;
+  inst->parent_activity = image.parent_activity;
+  EXO_ASSIGN_OR_RETURN(inst->input, NewContainer(def->input_type()));
+  EXO_RETURN_NOT_OK(inst->input.Deserialize(image.input_image));
+  EXO_ASSIGN_OR_RETURN(inst->output, NewContainer(def->output_type()));
+  EXO_RETURN_NOT_OK(inst->output.Deserialize(image.output_image));
+  if (image.activities.size() != inst->plan->activity_count()) {
     return Status::Corruption("instance image for " + image.id + " has " +
                               std::to_string(image.activities.size()) +
                               " activities; definition has " +
-                              std::to_string(p->activity_count()));
+                              std::to_string(inst->plan->activity_count()));
   }
-  for (uint32_t aid = 0; aid < p->activity_count(); ++aid) {
+  // Arena spin-up, then overlay the imaged state on the fresh runtimes.
+  EXO_RETURN_NOT_OK(InitializeRuntimes(inst));
+  for (uint32_t aid = 0; aid < inst->activity_count(); ++aid) {
     const InstanceImage::ActivityImage& a = image.activities[aid];
-    const wf::NavigationPlan::ActivityInfo& info = p->plan->activity(aid);
+    const wf::NavigationPlan::ActivityInfo& info = inst->plan->activity(aid);
     if (a.incoming_eval.size() != info.in_control.size() ||
         a.outgoing_eval.size() != info.out_control.size()) {
       return Status::Corruption("connector-evaluation arity mismatch in image of " +
                                 image.id);
     }
-    p->SetState(aid, static_cast<ActivityState>(a.state));
-    p->attempt(aid) = a.attempt;
-    p->failures(aid) = a.failures;
-    p->child_instance(aid) = a.child_instance;
+    inst->SetState(aid, static_cast<ActivityState>(a.state));
+    inst->attempt(aid) = a.attempt;
+    inst->failures(aid) = a.failures;
+    inst->child_instance(aid) = a.child_instance;
     for (uint32_t s = 0; s < a.incoming_eval.size(); ++s) {
-      p->in_eval_abs(info.in_eval_base + s) = a.incoming_eval[s];
+      inst->in_eval_abs(info.in_eval_base + s) = a.incoming_eval[s];
     }
     for (uint32_t s = 0; s < a.outgoing_eval.size(); ++s) {
-      p->out_eval_abs(info.out_eval_base + s) = a.outgoing_eval[s];
+      inst->out_eval_abs(info.out_eval_base + s) = a.outgoing_eval[s];
     }
     // A pristine container round-trips through an empty image, so skip
     // materializing cold containers that the image carries nothing for.
     if (!a.input_image.empty()) {
-      EXO_RETURN_NOT_OK(MaterializeActivityInput(p, aid));
-      EXO_RETURN_NOT_OK(p->activity_input(aid).Deserialize(a.input_image));
+      MaterializeActivityInput(inst, aid);
+      EXO_RETURN_NOT_OK(inst->activity_input(aid).Deserialize(a.input_image));
     }
     if (!a.output_image.empty()) {
-      EXO_RETURN_NOT_OK(MaterializeActivityOutput(p, aid));
-      EXO_RETURN_NOT_OK(p->activity_output(aid).Deserialize(a.output_image));
+      MaterializeActivityOutput(inst, aid);
+      EXO_RETURN_NOT_OK(
+          inst->activity_output(aid).Deserialize(a.output_image));
     }
   }
-  p->finished = image.finished;
-  p->cancelled = image.cancelled;
-  p->failed = image.failed;
-  p->suspended = image.suspended;
-  p->failure_reason = image.failure_reason;
-  p->retries_used = image.retries_used;
+  inst->finished = image.finished;
+  inst->cancelled = image.cancelled;
+  inst->failed = image.failed;
+  inst->suspended = image.suspended;
+  inst->failure_reason = image.failure_reason;
+  inst->retries_used = image.retries_used;
+  return Status::OK();
+}
 
+ProcessInstance* Engine::CommitInstance(ProcessInstance inst) {
+  const uint32_t index = static_cast<uint32_t>(instances_.size());
+  inst.index = index;
+  instance_index_.emplace(inst.id, index);
+  instance_order_.push_back(inst.id);
+  instances_.push_back(std::move(inst));
+  ProcessInstance* p = &instances_[index];
+  // Spin-ups count once committed, so a rejected build leaves the
+  // counters as they were.
+  ++stats_.arena_spinups;
+  if (shared_arenas_.count(p->definition) > 0) ++stats_.arena_shared_hits;
   // During journal replay, later records (and ResumeAfterReplay) drive the
   // family onward; live adoption re-dispatches the ready work here.
   if (!recovering_ && !p->suspended && !p->finished && !p->failed) {
@@ -1513,7 +1432,7 @@ Status Engine::MaterializeImage(const InstanceImage& image) {
       }
     }
   }
-  return Status::OK();
+  return p;
 }
 
 Result<DetachedInstance> Engine::TakeDetachedImage(const std::string& root_id) {
@@ -1540,7 +1459,7 @@ Status Engine::Checkpoint() {
     return Status::FailedPrecondition("no journal attached");
   }
   // Collect live images in creation (index) order, so parents precede
-  // their block children — the order MaterializeImage rebuilds them in.
+  // their block children — the order ReplaySnapshot rebuilds them in.
   // Finished (including cancelled) top-level families are dropped; that is
   // what makes recovery O(live state). Quarantined families stay: their
   // committed-state image is the saga compensation source.
@@ -1674,13 +1593,9 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       EXO_ASSIGN_OR_RETURN(inst.input, NewContainer(def->input_type()));
       EXO_RETURN_NOT_OK(inst.input.Deserialize(r.extra));
       EXO_ASSIGN_OR_RETURN(inst.output, NewContainer(def->output_type()));
-      uint32_t index = static_cast<uint32_t>(instances_.size());
-      inst.index = index;
-      instances_.push_back(std::move(inst));
-      instance_index_.emplace(r.instance, index);
-      instance_order_.push_back(r.instance);
+      EXO_RETURN_NOT_OK(InitializeRuntimes(&inst));
+      CommitInstance(std::move(inst));
       ++stats_.instances_started;
-      EXO_RETURN_NOT_OK(InitializeRuntimes(&instances_[index]));
       NoteRecoveredId(r.instance);
       // Wire the parent's block activity to this child.
       if (!r.to.empty()) {
@@ -1707,8 +1622,7 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       inst->SetState(uaid, ActivityState::kRunning);
       inst->attempt(uaid) =
           static_cast<int32_t>(std::strtol(r.payload.c_str(), nullptr, 10));
-      EXO_ASSIGN_OR_RETURN(inst->activity_output(uaid),
-                           NewContainer(DefOf(inst, uaid).output_type));
+      inst->activity_output(uaid) = inst->arena->activity_output(uaid);
       return Status::OK();
     }
     case EventType::kActivityFinished: {
@@ -1716,7 +1630,7 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       EXO_ASSIGN_OR_RETURN(size_t aid,
                            inst->definition->ActivityIndex(r.activity));
       const uint32_t uaid = static_cast<uint32_t>(aid);
-      EXO_RETURN_NOT_OK(MaterializeActivityOutput(inst, uaid));
+      MaterializeActivityOutput(inst, uaid);
       EXO_RETURN_NOT_OK(inst->activity_output(uaid).Deserialize(r.payload));
       inst->SetState(uaid, ActivityState::kFinished);
       return Status::OK();
@@ -1847,8 +1761,9 @@ Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
                                 std::to_string(r.seq));
     }
     EXO_ASSIGN_OR_RETURN(InstanceImage image, DecodeInstanceImage(encoded));
-    EXO_RETURN_NOT_OK(MaterializeImage(image));
-    ProcessInstance* p = &instances_.back();
+    ProcessInstance built;
+    EXO_RETURN_NOT_OK(BuildFromImage(image, &built));
+    ProcessInstance* p = CommitInstance(std::move(built));
     ++stats_.instances_started;
     if (p->finished) ++stats_.instances_finished;
     if (p->failed && !p->is_child()) {

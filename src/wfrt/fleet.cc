@@ -259,16 +259,11 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
     result.aggregate.arena_shared_hits += s.arena_shared_hits;
     result.aggregate.vm_condition_evals += s.vm_condition_evals;
     result.aggregate.tree_condition_evals += s.tree_condition_evals;
-    result.aggregate.typed_condition_evals += s.typed_condition_evals;
-    result.aggregate.step_program_dispatches += s.step_program_dispatches;
     result.aggregate.steal_slice_shrinks += s.steal_slice_shrinks;
     result.aggregate.steal_victim_cost_picks += s.steal_victim_cost_picks;
     result.aggregate.snapshots_written += s.snapshots_written;
     result.aggregate.records_truncated += s.records_truncated;
     result.aggregate.recovery_records_replayed += s.recovery_records_replayed;
-    result.aggregate.native_step_dispatches += s.native_step_dispatches;
-    result.aggregate.native_compile_bailouts += s.native_compile_bailouts;
-    result.aggregate.native_programs_compiled += s.native_programs_compiled;
     result.instances_finished += s.instances_finished;
     for (const Engine::FailedInstance& f : engine.FailedInstances()) {
       result.failed_instances.push_back(

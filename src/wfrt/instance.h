@@ -1,23 +1,12 @@
-// Runtime state of process instances.
+// Runtime state of process instances (see docs/specs/instance_layout.md).
 //
-// Two in-memory layouts share one accessor surface (selected per engine
-// by EngineOptions::packed_instance_state; see
-// docs/specs/instance_layout.md):
-//
-//  - Legacy AoS: a vector<ActivityRuntime> plus two instance-wide flat
-//    connector-eval arrays and a ready-queue dedup bitmap.
-//  - Packed SoA: one contiguous byte block (`hot`) laid out by the plan's
-//    HotLayout — dense state bytes, enqueued bytes, both eval planes, and
-//    4-aligned int32 attempt/failures arrays — plus a cold sidecar
-//    (`cold`) holding the containers, work items, and child links that
-//    navigation only touches when an activity actually starts or posts
-//    work. The state sweep then reads a dense byte array instead of
-//    striding ~144-byte structs.
-//
-// Every engine access goes through the accessors below, which branch on
-// `packed`; journal, audit, and error output are byte-identical across
-// the two layouts. String names appear only at API boundaries, audit
-// events, and journal records.
+// Per-activity hot state lives in one contiguous byte block (`hot`) laid
+// out by the plan's HotLayout — dense state bytes, enqueued bytes, both
+// eval planes, and 4-aligned int32 attempt/failures arrays — plus a cold
+// sidecar (`cold`) holding the containers, work items, and child links
+// that navigation only touches when an activity actually starts or posts
+// work. The state sweep then reads a dense byte array. String names
+// appear only at API boundaries, audit events, and journal records.
 
 #ifndef EXOTICA_WFRT_INSTANCE_H_
 #define EXOTICA_WFRT_INSTANCE_H_
@@ -45,32 +34,11 @@ static_assert(static_cast<int>(wf::ActivityState::kDead) <= 0xFF,
 static_assert(static_cast<int>(wf::ActivityState::kWaiting) == 0,
               "packed spin-up relies on kWaiting being the zero state");
 
-/// \brief Per-activity runtime state inside one instance (legacy layout).
-struct ActivityRuntime {
-  wf::ActivityState state = wf::ActivityState::kWaiting;
-
-  data::Container input;
-  data::Container output;
-
-  /// 1-based attempt counter (reschedules and program failures bump it).
-  int32_t attempt = 0;
-
-  /// Consecutive program-crash count (reset on successful completion).
-  int32_t failures = 0;
-
-  /// Work item for manual activities currently posted/claimed.
-  std::optional<org::WorkItemId> work_item;
-
-  /// Child instance id for running process (block) activities.
-  std::string child_instance;
-};
-
-/// \brief Cold per-activity sidecar of the packed layout: everything the
-/// sweep never reads. Containers start default-constructed (no layout, no
-/// refcount traffic at spin-up) and are materialized from the arena
-/// prototypes on first touch — a pristine container and a
-/// default-constructed one serialize identically, so images stay
-/// byte-identical either way.
+/// \brief Cold per-activity sidecar: everything the sweep never reads.
+/// Containers start default-constructed (no layout, no refcount traffic
+/// at spin-up) and are materialized from the arena prototypes on first
+/// touch — a pristine container and a default-constructed one serialize
+/// identically, so images stay byte-identical either way.
 struct ActivityCold {
   data::Container input;
   data::Container output;
@@ -90,27 +58,11 @@ struct ProcessInstance {
   data::Container input;
   data::Container output;
 
-  /// Legacy layout: indexed by activity id (== index into
-  /// definition->activities()). Empty when `packed`.
-  std::vector<ActivityRuntime> activities;
-
-  /// Legacy layout: connector evaluations for the whole instance, flat:
-  /// activity `aid`'s slot `s` lives at `plan->activity(aid).in_eval_base
-  /// + s` (resp. out_eval_base). -1 = not yet evaluated, 0 = false,
-  /// 1 = true.
-  std::vector<int8_t> in_evals;
-  std::vector<int8_t> out_evals;
-
-  /// Legacy layout: ready-queue dedup bitmap, indexed by activity id.
-  std::vector<uint8_t> enqueued;
-
-  /// Packed layout: the contiguous hot block (plan->hot() offsets) and
-  /// the cold sidecar. `hl` is a by-value copy of the plan's HotLayout so
-  /// the accessors below read plane bases without chasing through the
-  /// plan. `arena` points at the spin-up arena whose container prototypes
-  /// materialize cold containers on first touch (null when the instance
-  /// was spun up without an arena).
-  bool packed = false;
+  /// The contiguous hot block (plan->hot() offsets) and the cold sidecar.
+  /// `hl` is a by-value copy of the plan's HotLayout so the accessors
+  /// below read plane bases without chasing through the plan. `arena`
+  /// points at the spin-up arena whose container prototypes materialize
+  /// cold containers on first touch.
   wf::HotLayout hl;
   std::vector<uint8_t> hot;
   std::vector<ActivityCold> cold;
@@ -143,14 +95,11 @@ struct ProcessInstance {
 
   bool is_child() const { return !parent_instance.empty(); }
 
-  uint32_t activity_count() const {
-    return packed ? static_cast<uint32_t>(cold.size())
-                  : static_cast<uint32_t>(activities.size());
-  }
+  uint32_t activity_count() const { return static_cast<uint32_t>(cold.size()); }
 
+  /// The state plane opens the hot block (HotLayout::state_base is 0).
   wf::ActivityState state(uint32_t aid) const {
-    return packed ? static_cast<wf::ActivityState>(hot[aid])
-                  : activities[aid].state;
+    return static_cast<wf::ActivityState>(hot[aid]);
   }
 
   /// Transitions activity `id` to `next`, maintaining the settled counter.
@@ -159,102 +108,63 @@ struct ProcessInstance {
     wf::ActivityState prev = state(id);
     if (IsSettled(prev)) --settled;
     if (IsSettled(next)) ++settled;
-    if (packed) {
-      hot[id] = static_cast<uint8_t>(next);
-    } else {
-      activities[id].state = next;
-    }
+    hot[id] = static_cast<uint8_t>(next);
   }
 
   static bool IsSettled(wf::ActivityState s) {
     return s == wf::ActivityState::kTerminated || s == wf::ActivityState::kDead;
   }
 
-  int32_t& attempt(uint32_t aid) {
-    return packed ? hot_i32(hl.attempt_base)[aid]
-                  : activities[aid].attempt;
-  }
-  int32_t attempt(uint32_t aid) const {
-    return packed ? hot_i32(hl.attempt_base)[aid]
-                  : activities[aid].attempt;
-  }
-  int32_t& failures(uint32_t aid) {
-    return packed ? hot_i32(hl.failures_base)[aid]
-                  : activities[aid].failures;
-  }
+  int32_t& attempt(uint32_t aid) { return hot_i32(hl.attempt_base)[aid]; }
+  int32_t attempt(uint32_t aid) const { return hot_i32(hl.attempt_base)[aid]; }
+  int32_t& failures(uint32_t aid) { return hot_i32(hl.failures_base)[aid]; }
   int32_t failures(uint32_t aid) const {
-    return packed ? hot_i32(hl.failures_base)[aid]
-                  : activities[aid].failures;
+    return hot_i32(hl.failures_base)[aid];
   }
 
-  /// Cold-side accessors. Packed containers may still be unmaterialized
+  /// Cold-side accessors. Containers may still be unmaterialized
   /// (default-constructed, `type_name().empty()`) — the engine
   /// materializes before any typed use.
-  data::Container& activity_input(uint32_t aid) {
-    return packed ? cold[aid].input : activities[aid].input;
-  }
+  data::Container& activity_input(uint32_t aid) { return cold[aid].input; }
   const data::Container& activity_input(uint32_t aid) const {
-    return packed ? cold[aid].input : activities[aid].input;
+    return cold[aid].input;
   }
-  data::Container& activity_output(uint32_t aid) {
-    return packed ? cold[aid].output : activities[aid].output;
-  }
+  data::Container& activity_output(uint32_t aid) { return cold[aid].output; }
   const data::Container& activity_output(uint32_t aid) const {
-    return packed ? cold[aid].output : activities[aid].output;
+    return cold[aid].output;
   }
   std::optional<org::WorkItemId>& work_item(uint32_t aid) {
-    return packed ? cold[aid].work_item : activities[aid].work_item;
+    return cold[aid].work_item;
   }
   const std::optional<org::WorkItemId>& work_item(uint32_t aid) const {
-    return packed ? cold[aid].work_item : activities[aid].work_item;
+    return cold[aid].work_item;
   }
-  std::string& child_instance(uint32_t aid) {
-    return packed ? cold[aid].child_instance : activities[aid].child_instance;
-  }
+  std::string& child_instance(uint32_t aid) { return cold[aid].child_instance; }
   const std::string& child_instance(uint32_t aid) const {
-    return packed ? cold[aid].child_instance : activities[aid].child_instance;
+    return cold[aid].child_instance;
   }
 
   /// Ready-queue dedup byte for activity `aid`.
-  uint8_t& enqueued_flag(uint32_t aid) {
-    return packed ? hot[hl.enqueued_base + aid] : enqueued[aid];
-  }
+  uint8_t& enqueued_flag(uint32_t aid) { return hot[hl.enqueued_base + aid]; }
   void ResetEnqueued() {
-    if (packed) {
-      const uint32_t base = hl.enqueued_base;
-      std::fill(hot.begin() + base, hot.begin() + base + activity_count(), 0);
-    } else {
-      std::fill(enqueued.begin(), enqueued.end(), 0);
-    }
+    const uint32_t base = hl.enqueued_base;
+    std::fill(hot.begin() + base, hot.begin() + base + activity_count(), 0);
   }
 
   /// Absolute-slot accessors into the connector-eval planes (slot indices
-  /// as precomputed by the plan — StepInstr::out_idx, per-activity bases).
+  /// as precomputed by the plan's per-activity bases). -1 = not yet
+  /// evaluated, 0 = false, 1 = true.
   int8_t& in_eval_abs(uint32_t idx) {
-    return packed
-               ? reinterpret_cast<int8_t&>(hot[hl.in_eval_base + idx])
-               : in_evals[idx];
+    return reinterpret_cast<int8_t&>(hot[hl.in_eval_base + idx]);
   }
   int8_t in_eval_abs(uint32_t idx) const {
-    return packed ? static_cast<int8_t>(hot[hl.in_eval_base + idx])
-                  : in_evals[idx];
+    return static_cast<int8_t>(hot[hl.in_eval_base + idx]);
   }
   int8_t& out_eval_abs(uint32_t idx) {
-    return packed ? reinterpret_cast<int8_t&>(hot[hl.out_eval_base + idx])
-                  : out_evals[idx];
+    return reinterpret_cast<int8_t&>(hot[hl.out_eval_base + idx]);
   }
   int8_t out_eval_abs(uint32_t idx) const {
-    return packed ? static_cast<int8_t>(hot[hl.out_eval_base + idx])
-                  : out_evals[idx];
-  }
-
-  /// Base of the whole out-eval plane, for native step code that indexes
-  /// absolute StepInstr::out_idx slots directly. data()-based so it is
-  /// well-defined even on an empty legacy vector (activities without
-  /// connectors).
-  int8_t* out_eval_plane() {
-    return packed ? reinterpret_cast<int8_t*>(hot.data() + hl.out_eval_base)
-                  : out_evals.data();
+    return static_cast<int8_t>(hot[hl.out_eval_base + idx]);
   }
 
   /// Per-activity-slot accessors for activity `aid`'s connector
@@ -272,17 +182,12 @@ struct ProcessInstance {
     return out_eval_abs(plan->activity(aid).out_eval_base + slot);
   }
 
-  /// Counts activities currently in `state` — a dense byte scan in the
-  /// packed layout, a struct stride in the legacy one.
+  /// Counts activities currently in `state` — a dense byte scan.
   size_t CountInState(wf::ActivityState s) const {
+    const uint8_t b = static_cast<uint8_t>(s);
+    const uint32_t count = activity_count();
     size_t n = 0;
-    if (packed) {
-      const uint8_t b = static_cast<uint8_t>(s);
-      const uint32_t count = activity_count();
-      for (uint32_t i = 0; i < count; ++i) n += (hot[i] == b);
-    } else {
-      for (const ActivityRuntime& rt : activities) n += (rt.state == s);
-    }
+    for (uint32_t i = 0; i < count; ++i) n += (hot[i] == b);
     return n;
   }
 

@@ -85,10 +85,10 @@ std::string EncodeInstanceImage(const ProcessInstance& inst) {
   out += "D\t" + EscapeQuoted(inst.input.Serialize()) + '\t' +
          EscapeQuoted(inst.output.Serialize()) + '\n';
   // A <state> <attempt> <failures> <child> <in evals> <out evals> <in> <out>
-  // The wire format keeps evals per-activity and goes through the layout-
-  // neutral accessors — images stay readable, version-stable, and
-  // byte-identical regardless of the in-memory layout. Unmaterialized
-  // packed containers serialize as "" exactly like pristine legacy ones.
+  // The wire format keeps evals per-activity and goes through the
+  // accessors — images stay readable and version-stable whatever the
+  // in-memory layout. Unmaterialized cold containers serialize as ""
+  // exactly like pristine ones.
   for (uint32_t aid = 0; aid < inst.activity_count(); ++aid) {
     const wf::NavigationPlan::ActivityInfo& info = inst.plan->activity(aid);
     std::string in_evals, out_evals;

@@ -121,6 +121,11 @@ struct Fig3Case {
   std::vector<std::string> want_effective;  // final committed-and-kept set
 };
 
+// Lists the case by name. gtest's default byte dump would print the
+// address behind `name`, and ctest's discovered test name would then
+// change with every build (ASLR).
+void PrintTo(const Fig3Case& c, std::ostream* os) { *os << c.name; }
+
 class Figure3Test : public ::testing::TestWithParam<Fig3Case> {};
 
 TEST_P(Figure3Test, TakesTheExpectedPath) {

@@ -88,6 +88,10 @@ struct AbortPattern {
   std::vector<std::pair<std::string, int>> abort_first;
 };
 
+// Lists the pattern by name, not as a byte dump holding the address behind
+// `name`, so the discovered ctest name is the same on every build.
+void PrintTo(const AbortPattern& p, std::ostream* os) { *os << p.name; }
+
 class FlexFigure4Test : public ::testing::TestWithParam<AbortPattern> {};
 
 TEST_P(FlexFigure4Test, WorkflowMatchesNativeExecutor) {

@@ -2,20 +2,13 @@
 // the tree-walk evaluator on every expression it accepts — same value on
 // success, same status (code AND message) on error — across randomized
 // expressions and randomized container states, including null members and
-// type errors. Four-way since native codegen landed: tree-walk vs the
-// generic VM (EvaluateGeneric) vs the typed monomorphic VM (Evaluate,
-// which runs the typed program whenever the compiler emitted one) vs the
-// native x86-64 function (codegen::NativeCondition, compiled from the
-// same typed program) must all be byte-identical. The native arm skips
-// itself on builds without the emitter.
+// type errors.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "codegen/step_jit.h"
 #include "common/rng.h"
 #include "data/container.h"
 #include "expr/ast.h"
@@ -127,9 +120,7 @@ TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
   Rng rng(20260806);
   ExprGen gen(&rng);
 
-  const bool native_available = codegen::NativeCodegenAvailable();
-  int compiled = 0, agreed_values = 0, agreed_errors = 0, typed = 0;
-  int native_compiled = 0;
+  int compiled = 0, agreed_values = 0, agreed_errors = 0;
   constexpr int kExpressions = 12000;
   for (int i = 0; i < kExpressions; ++i) {
     NodePtr node = gen.Gen(5);
@@ -141,41 +132,11 @@ TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
     ASSERT_TRUE(prog.ok()) << node->ToString() << ": "
                            << prog.status().ToString();
     ++compiled;
-    if (prog->typed()) ++typed;
 
     ContainerResolver resolver(container);
     Result<Value> tree = Evaluate(*node, resolver);
-    Result<Value> generic = prog->EvaluateGeneric(container);
-    Result<Value> vm = prog->Evaluate(container);  // typed when available
+    Result<Value> vm = prog->Evaluate(container);
 
-    // Fourth arm: the typed program lowered to machine code. Every typed
-    // program uses only ops the emitter supports, so compilation must
-    // succeed whenever a typed program exists at all.
-    std::unique_ptr<codegen::NativeCondition> native;
-    if (native_available && prog->typed()) {
-      native = codegen::NativeCondition::Compile(*prog);
-      ASSERT_NE(native, nullptr) << node->ToString();
-      ++native_compiled;
-      Result<Value> nat = native->Evaluate(container);
-      ASSERT_EQ(vm.ok(), nat.ok())
-          << node->ToString() << "\n vm:     "
-          << (vm.ok() ? vm->ToString() : vm.status().ToString())
-          << "\n native: "
-          << (nat.ok() ? nat->ToString() : nat.status().ToString());
-      if (vm.ok()) {
-        ASSERT_EQ(*vm, *nat) << node->ToString();
-      } else {
-        ASSERT_EQ(vm.status().ToString(), nat.status().ToString())
-            << node->ToString();
-      }
-    }
-
-    ASSERT_EQ(tree.ok(), generic.ok())
-        << node->ToString() << "\n tree:    "
-        << (tree.ok() ? tree->ToString() : tree.status().ToString())
-        << "\n generic: "
-        << (generic.ok() ? generic->ToString()
-                         : generic.status().ToString());
     ASSERT_EQ(tree.ok(), vm.ok())
         << node->ToString() << "\n tree: "
         << (tree.ok() ? tree->ToString() : tree.status().ToString())
@@ -183,12 +144,9 @@ TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
     if (tree.ok()) {
       // No NaN can occur (division by zero errors out, % is long-only),
       // so structural Value equality is exact.
-      ASSERT_EQ(*tree, *generic) << node->ToString();
       ASSERT_EQ(*tree, *vm) << node->ToString();
       ++agreed_values;
     } else {
-      ASSERT_EQ(tree.status().ToString(), generic.status().ToString())
-          << node->ToString();
       ASSERT_EQ(tree.status().ToString(), vm.status().ToString())
           << node->ToString();
       ++agreed_errors;
@@ -212,18 +170,9 @@ TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
     }
   }
   EXPECT_EQ(compiled, kExpressions);
-  // Sanity: the generator must actually exercise both regimes, and the
-  // typing pass must monomorphize a meaningful share of the corpus (the
-  // generator mixes string identifiers/literals in, so never all of it).
+  // Sanity: the generator must actually exercise both regimes.
   EXPECT_GT(agreed_values, 1000);
   EXPECT_GT(agreed_errors, 1000);
-  EXPECT_GT(typed, 1000);
-  EXPECT_LT(typed, kExpressions);
-  // On emitter-enabled builds the native arm must have actually run over
-  // the full typed share of the corpus.
-  if (native_available) {
-    EXPECT_EQ(native_compiled, typed);
-  }
 }
 
 TEST_F(VmDifferentialTest, BoolCoercionAgreesUnderEvaluateBool) {
@@ -237,28 +186,11 @@ TEST_F(VmDifferentialTest, BoolCoercionAgreesUnderEvaluateBool) {
 
     ContainerResolver resolver(container);
     Result<bool> tree = EvaluateBool(*node, resolver);
-    Result<bool> generic = prog->EvaluateBoolGeneric(container);
-    Result<bool> vm = prog->EvaluateBool(container);  // typed when available
-    ASSERT_EQ(tree.ok(), generic.ok()) << node->ToString();
+    Result<bool> vm = prog->EvaluateBool(container);
     ASSERT_EQ(tree.ok(), vm.ok()) << node->ToString();
-    if (codegen::NativeCodegenAvailable() && prog->typed()) {
-      auto native = codegen::NativeCondition::Compile(*prog);
-      ASSERT_NE(native, nullptr) << node->ToString();
-      Result<bool> nat = native->EvaluateBool(container);
-      ASSERT_EQ(vm.ok(), nat.ok()) << node->ToString();
-      if (vm.ok()) {
-        ASSERT_EQ(*vm, *nat) << node->ToString();
-      } else {
-        ASSERT_EQ(vm.status().ToString(), nat.status().ToString())
-            << node->ToString();
-      }
-    }
     if (tree.ok()) {
-      ASSERT_EQ(*tree, *generic) << node->ToString();
       ASSERT_EQ(*tree, *vm) << node->ToString();
     } else {
-      ASSERT_EQ(tree.status().ToString(), generic.status().ToString())
-          << node->ToString();
       ASSERT_EQ(tree.status().ToString(), vm.status().ToString())
           << node->ToString();
     }

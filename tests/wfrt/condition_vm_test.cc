@@ -1,15 +1,17 @@
 // Engine-level behaviour of the compiled condition VM: registered plans
 // carry slot-bound programs, navigation routes conditions through them
-// (stats prove it), the A/B toggle reproduces identical traces, and the
-// fleet shares one spin-up arena per definition.
+// (stats prove it), conditions the compiler cannot bind tree-walk with
+// identical traces and errors, and condition errors keep their exact text
+// and transition context.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "wf/builder.h"
+#include "wfjournal/journal.h"
 #include "wfrt/engine.h"
-#include "wfrt/fleet.h"
 #include "../testutil.h"
 
 namespace exotica {
@@ -20,16 +22,37 @@ using test::BindScriptedRc;
 using test::DeclareDefaultProgram;
 using wf::ActivityState;
 
+// `cond` AND an always-true clause nested deeper than the VM's value stack
+// (expr::CompiledCondition::kMaxStack), so registration cannot bind the
+// condition and the engine tree-walks it. Same truth value, same errors.
+std::string TreeWalkOnly(const std::string& cond) {
+  std::string pad = "RC * 0";
+  for (int i = 0; i < 70; ++i) pad = "RC * 0 + (" + pad + ")";
+  return "(" + cond + ") AND " + pad + " = 0";
+}
+
 class ConditionVmTest : public ::testing::Test {
  protected:
-  void Register(const char* name, int fail_rc) {
-    ASSERT_TRUE(DeclareDefaultProgram(&store_, "ok").ok());
-    ASSERT_TRUE(BindConstRc(&programs_, "ok", fail_rc).ok());
-    wf::ProcessBuilder b(&store_, name);
-    b.Program("A", "ok").Program("B", "ok").Program("C", "ok");
-    b.Connect("A", "B", "RC = 0 OR RC = 2");
-    b.Connect("B", "C", "RC >= 0 AND RC < 10 AND NOT (RC = 9)");
+  // A -> B -> C with two conditioned connectors. `tree_walk_only` pads
+  // both conditions past the VM so the same definition tree-walks.
+  static void Register(wf::DefinitionStore* store,
+                       wfrt::ProgramRegistry* programs, const char* name,
+                       int fail_rc, bool tree_walk_only = false) {
+    auto cond = [&](const std::string& c) {
+      return tree_walk_only ? TreeWalkOnly(c) : c;
+    };
+    const std::string prog = std::string(name) + "_ok";
+    ASSERT_TRUE(DeclareDefaultProgram(store, prog).ok());
+    ASSERT_TRUE(BindConstRc(programs, prog, fail_rc).ok());
+    wf::ProcessBuilder b(store, name);
+    b.Program("A", prog).Program("B", prog).Program("C", prog);
+    b.Connect("A", "B", cond("RC = 0 OR RC = 2"));
+    b.Connect("B", "C", cond("RC >= 0 AND RC < 10 AND NOT (RC = 9)"));
     ASSERT_TRUE(b.Register().ok());
+  }
+
+  void Register(const char* name, int fail_rc) {
+    Register(&store_, &programs_, name, fail_rc);
   }
 
   wf::DefinitionStore store_;
@@ -85,38 +108,43 @@ TEST_F(ConditionVmTest, NavigationUsesVmAndCountsIt) {
   EXPECT_TRUE(engine.IsFinished(*id));
   EXPECT_EQ(engine.stats().vm_condition_evals, 2u);
   EXPECT_EQ(engine.stats().tree_condition_evals, 0u);
-  // Both conditions read only RC (a long), so the typing pass
-  // monomorphizes them: every VM eval ran the typed program.
-  EXPECT_EQ(engine.stats().typed_condition_evals, 2u);
-}
-
-TEST_F(ConditionVmTest, ToggleOffFallsBackToTreeWalk) {
-  Register("p", 0);
-  wfrt::EngineOptions options;
-  options.use_condition_vm = false;
-  wfrt::Engine engine(&store_, &programs_, options);
-  auto id = engine.RunToCompletion("p");
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_EQ(engine.stats().vm_condition_evals, 0u);
-  EXPECT_EQ(engine.stats().tree_condition_evals, 2u);
 }
 
 TEST_F(ConditionVmTest, VmAndTreeWalkProduceIdenticalTraces) {
-  Register("p", 1);  // RC=1: first connector false → B, C dead via DPE
-  std::vector<std::string> traces[2];
-  int t = 0;
-  for (bool use_vm : {true, false}) {
-    wfrt::EngineOptions options;
-    options.use_condition_vm = use_vm;
-    wfrt::Engine engine(&store_, &programs_, options);
-    auto id = engine.RunToCompletion("p");
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
-    EXPECT_EQ(*engine.StateOf(*id, "C"), ActivityState::kDead);
-    traces[t++] = engine.audit().CompactTrace(*id, {});
+  // The same definition twice: bound to VM programs, and padded past the
+  // VM so the engine's tree-walk fallback runs every condition.
+  wf::DefinitionStore tree_store;
+  wfrt::ProgramRegistry tree_programs;
+  for (int rc : {0, 1}) {  // rc=1: first connector false → B, C dead via DPE
+    SCOPED_TRACE("rc=" + std::to_string(rc));
+    const std::string name = "p" + std::to_string(rc);
+    Register(&store_, &programs_, name.c_str(), rc);
+    Register(&tree_store, &tree_programs, name.c_str(), rc,
+             /*tree_walk_only=*/true);
+    auto tree_def = tree_store.FindProcess(name);
+    ASSERT_TRUE(tree_def.ok());
+    EXPECT_EQ((*tree_def)->plan().vm_program_count(), 0u);
+
+    wfrt::Engine vm(&store_, &programs_);
+    wfrt::Engine tree(&tree_store, &tree_programs);
+    auto vm_id = vm.RunToCompletion(name);
+    auto tree_id = tree.RunToCompletion(name);
+    ASSERT_TRUE(vm_id.ok()) << vm_id.status().ToString();
+    ASSERT_TRUE(tree_id.ok()) << tree_id.status().ToString();
+    EXPECT_GT(vm.stats().vm_condition_evals, 0u);
+    EXPECT_EQ(vm.stats().tree_condition_evals, 0u);
+    EXPECT_EQ(tree.stats().vm_condition_evals, 0u);
+    EXPECT_GT(tree.stats().tree_condition_evals, 0u);
+    EXPECT_EQ(vm.stats().connectors_evaluated,
+              tree.stats().connectors_evaluated);
+    // Byte-identical navigation, event for event.
+    EXPECT_EQ(vm.audit().CompactTrace(*vm_id, {}),
+              tree.audit().CompactTrace(*tree_id, {}));
+    const ActivityState b = rc == 0 ? ActivityState::kTerminated
+                                    : ActivityState::kDead;
+    EXPECT_EQ(*vm.StateOf(*vm_id, "B"), b);
+    EXPECT_EQ(*tree.StateOf(*tree_id, "B"), b);
   }
-  // Byte-identical navigation, event for event.
-  EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST_F(ConditionVmTest, ExitConditionLoopsThroughVm) {
@@ -137,17 +165,22 @@ TEST_F(ConditionVmTest, ExitConditionLoopsThroughVm) {
   EXPECT_TRUE(engine.IsFinished(*id));
   EXPECT_EQ(engine.stats().reschedules, 2u);
   EXPECT_EQ(engine.stats().vm_condition_evals, 3u);
-  EXPECT_EQ(engine.stats().typed_condition_evals, 3u);
+  EXPECT_EQ(engine.stats().tree_condition_evals, 0u);
 }
 
 TEST_F(ConditionVmTest, ConditionErrorIsFalseStillHonoredOnVmPath) {
-  ASSERT_TRUE(DeclareDefaultProgram(&store_, "ok").ok());
-  ASSERT_TRUE(BindConstRc(&programs_, "ok", 0).ok());
-  wf::ProcessBuilder b(&store_, "err");
-  b.Program("A", "ok").Program("B", "ok");
   // Type error at evaluation time: RC is a long, "x" a string.
-  b.Connect("A", "B", "RC < \"x\"");
-  ASSERT_TRUE(b.Register().ok());
+  auto register_err = [](wf::DefinitionStore* store,
+                         wfrt::ProgramRegistry* programs,
+                         const std::string& cond) {
+    ASSERT_TRUE(DeclareDefaultProgram(store, "ok").ok());
+    ASSERT_TRUE(BindConstRc(programs, "ok", 0).ok());
+    wf::ProcessBuilder b(store, "err");
+    b.Program("A", "ok").Program("B", "ok");
+    b.Connect("A", "B", cond);
+    ASSERT_TRUE(b.Register().ok());
+  };
+  register_err(&store_, &programs_, "RC < \"x\"");
 
   wfrt::EngineOptions options;
   options.condition_error_is_false = true;
@@ -156,43 +189,97 @@ TEST_F(ConditionVmTest, ConditionErrorIsFalseStillHonoredOnVmPath) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
 
-  // Without the option, navigation fails with the same error either way.
+  // Without the option, navigation fails with the same error on the VM
+  // and on the tree-walk fallback.
   wfrt::Engine strict_vm(&store_, &programs_);
-  auto vm_id = strict_vm.StartProcess("err");
-  ASSERT_TRUE(vm_id.ok());
+  ASSERT_TRUE(strict_vm.StartProcess("err").ok());
   Status vm_err = strict_vm.Run();
   ASSERT_FALSE(vm_err.ok());
+  EXPECT_EQ(strict_vm.stats().vm_condition_evals, 1u);
 
-  wfrt::EngineOptions tree_options;
-  tree_options.use_condition_vm = false;
-  wfrt::Engine strict_tree(&store_, &programs_, tree_options);
-  auto tree_id = strict_tree.StartProcess("err");
-  ASSERT_TRUE(tree_id.ok());
+  wf::DefinitionStore tree_store;
+  wfrt::ProgramRegistry tree_programs;
+  register_err(&tree_store, &tree_programs, TreeWalkOnly("RC < \"x\""));
+  wfrt::Engine strict_tree(&tree_store, &tree_programs);
+  ASSERT_TRUE(strict_tree.StartProcess("err").ok());
   Status tree_err = strict_tree.Run();
   ASSERT_FALSE(tree_err.ok());
+  EXPECT_EQ(strict_tree.stats().tree_condition_evals, 1u);
   EXPECT_EQ(vm_err.ToString(), tree_err.ToString());
 }
 
-TEST_F(ConditionVmTest, FleetSharesOneArenaPerDefinition) {
-  Register("p", 0);
-  wfrt::EngineFleet fleet(&store_, &programs_, 4);
-  auto result = fleet.RunBatch("p", 32);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->ok());
-  EXPECT_EQ(result->instances_finished, 32u);
-  // Every spin-up hit the fleet-shared arena rather than a private one.
-  EXPECT_EQ(result->aggregate.arena_spinups, 32u);
-  EXPECT_EQ(result->aggregate.arena_shared_hits, 32u);
-  EXPECT_GT(result->aggregate.vm_condition_evals, 0u);
-  EXPECT_EQ(result->aggregate.tree_condition_evals, 0u);
-  // Typed programs and step dispatches flow through BatchResult too.
-  // Every sweep dispatches through exactly one rung — natively where
-  // this build compiled the plan, threaded code otherwise.
-  EXPECT_EQ(result->aggregate.typed_condition_evals,
-            result->aggregate.vm_condition_evals);
-  EXPECT_GT(result->aggregate.step_program_dispatches +
-                result->aggregate.native_step_dispatches,
-            0u);
+// A condition over a member the program never writes: FLAG has no
+// default, so the VM's load reads null.
+class ConditionVmNullReadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data::StructType gate("Gate");
+    ASSERT_TRUE(gate.AddScalar("FLAG", data::ScalarType::kLong).ok());
+    ASSERT_TRUE(store_.types().Register(std::move(gate)).ok());
+    wf::ProgramDeclaration decl;
+    decl.name = "gated";
+    decl.output_type = "Gate";
+    ASSERT_TRUE(store_.DeclareProgram(std::move(decl)).ok());
+    ASSERT_TRUE(programs_
+                    .Bind("gated",
+                          [](const data::Container&, data::Container*,
+                             const wfrt::ProgramContext&) -> Status {
+                            return Status::OK();  // FLAG stays unset
+                          })
+                    .ok());
+    ASSERT_TRUE(DeclareDefaultProgram(&store_, "plain").ok());
+    ASSERT_TRUE(BindConstRc(&programs_, "plain", 0).ok());
+
+    wf::ProcessBuilder b(&store_, "nullread");
+    b.Program("A", "gated").Program("B", "plain").Program("C", "plain");
+    b.Connect("A", "B", "FLAG = 1");
+    b.Otherwise("A", "C");
+    ASSERT_TRUE(b.Register().ok());
+  }
+
+  wf::DefinitionStore store_;
+  wfrt::ProgramRegistry programs_;
+};
+
+TEST_F(ConditionVmNullReadTest, ErrorNamesTheMemberWithTransitionContext) {
+  wfrt::Engine engine(&store_, &programs_);
+  ASSERT_TRUE(engine.StartProcess("nullread").ok());
+  Status st = engine.Run();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(engine.stats().vm_condition_evals, 1u);
+  EXPECT_EQ(st.ToString(),
+            "FailedPrecondition: transition condition A -> B in wf-1: "
+            "condition references unset data: FLAG");
+}
+
+TEST_F(ConditionVmNullReadTest, ConditionErrorIsFalseFiresOtherwise) {
+  // With condition_error_is_false the null read demotes to "connector
+  // false" and the otherwise path fires, journal included.
+  wfjournal::MemoryJournal journal;
+  wfrt::EngineOptions options;
+  options.condition_error_is_false = true;
+  wfrt::Engine engine(&store_, &programs_, options);
+  ASSERT_TRUE(engine.AttachJournal(&journal).ok());
+  auto id = engine.RunToCompletion("nullread");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_TRUE(engine.IsFinished(*id));
+  EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
+  EXPECT_EQ(*engine.StateOf(*id, "C"), ActivityState::kTerminated);
+
+  auto records = journal.ReadAll();
+  ASSERT_TRUE(records.ok());
+  std::vector<std::string> evals;
+  for (const wfjournal::Record& r : *records) {
+    if (r.type != wfjournal::EventType::kConnectorEval) continue;
+    evals.push_back(r.activity + "->" + r.to + "=" + (r.flag ? "1" : "0"));
+  }
+  EXPECT_EQ(evals, (std::vector<std::string>{"A->B=0", "A->C=1"}));
+  EXPECT_EQ(engine.audit().CompactTrace(*id, {}),
+            (std::vector<std::string>{
+                "wf-1:instance-started", "A:ready", "A:started", "A:finished",
+                "A:terminated", "A->B:false", "A->C:true", "B:dead",
+                "C:ready", "C:started", "C:finished", "C:terminated",
+                "wf-1:instance-finished"}));
 }
 
 }  // namespace

@@ -147,6 +147,32 @@ TEST(FleetTest, SharedArenasCoverSubprocessClosure) {
   EXPECT_TRUE(again->ok());
 }
 
+TEST(FleetTest, FleetSharesOneArenaPerDefinition) {
+  // Four engines spin instances of one definition up from one fleet-shared
+  // arena and read the plan's compiled condition programs concurrently.
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(test::DeclareDefaultProgram(&store, "ok").ok());
+  ASSERT_TRUE(test::BindConstRc(&programs, "ok", 0).ok());
+  wf::ProcessBuilder b(&store, "p");
+  b.Program("A", "ok").Program("B", "ok").Program("C", "ok");
+  b.Connect("A", "B", "RC = 0 OR RC = 2");
+  b.Connect("B", "C", "RC >= 0 AND RC < 10 AND NOT (RC = 9)");
+  ASSERT_TRUE(b.Register().ok());
+
+  wfrt::EngineFleet fleet(&store, &programs, 4);
+  auto result = fleet.RunBatch("p", 32);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->ok());
+  EXPECT_EQ(result->instances_finished, 32u);
+  // Every spin-up hit the fleet-shared arena rather than a private one.
+  EXPECT_EQ(result->aggregate.arena_spinups, 32u);
+  EXPECT_EQ(result->aggregate.arena_shared_hits, 32u);
+  // Two conditions per instance, all on the VM, aggregated across engines.
+  EXPECT_EQ(result->aggregate.vm_condition_evals, 64u);
+  EXPECT_EQ(result->aggregate.tree_condition_evals, 0u);
+}
+
 TEST(FleetTest, RoundRobinDistribution) {
   wf::DefinitionStore store;
   wfrt::ProgramRegistry programs;

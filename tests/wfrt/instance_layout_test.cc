@@ -1,42 +1,25 @@
-// Golden equivalence of the packed SoA hot/cold instance layout
-// (EngineOptions::packed_instance_state) against the legacy AoS
-// vector<ActivityRuntime>: on the same definition and inputs, every
-// engine-observable artifact — the journal record stream (order AND
-// content), the audit trace, the instance output, error strings, and the
-// encoded instance images that snapshots and detach handoffs are made of
-// — must be byte-identical across the toggle. Exercised over the Trip
-// saga (compensation path) and the Figure 3 flexible transaction
-// (alternative path), i.e. block children, dead-path sweeps, OR-joins,
-// and data connectors all in one stream. Also covers cross-layout
-// migration: images written by one layout recover/adopt into the other.
+// The packed hot/cold instance layout: the hot block an engine spins an
+// instance up with is exactly what the plan's HotLayout says it is, and
+// the dense state scans agree with the settled counter. Journal, audit,
+// and error bytes of the layout are pinned by the determinism goldens.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
-#include "atm/flex.h"
 #include "atm/saga.h"
 #include "atm/subtxn.h"
-#include "exotica/flex_translate.h"
 #include "exotica/programs.h"
 #include "exotica/saga_translate.h"
-#include "wf/builder.h"
-#include "wfjournal/journal.h"
 #include "wfrt/engine.h"
-#include "../testutil.h"
 
 namespace exotica {
 namespace {
 
-using test::BindConstRc;
-using test::DeclareDefaultProgram;
-using wfjournal::MemoryJournal;
-
 // A runner that aborts a fixed set of subtransactions; enough to steer
-// the saga into compensation and the flex spec onto its alternative path.
+// the saga into compensation.
 class AbortingRunner : public atm::SubTxnRunner {
  public:
   explicit AbortingRunner(std::set<std::string> aborts)
@@ -49,42 +32,6 @@ class AbortingRunner : public atm::SubTxnRunner {
  private:
   std::set<std::string> aborts_;
 };
-
-struct RunResult {
-  std::vector<std::string> records;  ///< encoded journal stream
-  std::vector<std::string> trace;    ///< compact audit trace
-  std::string output;                ///< serialized instance output
-  wfrt::EngineStats stats;
-};
-
-// Runs `process` once with the given layout against a fresh memory
-// journal and returns every observable artifact.
-RunResult RunOnce(const wf::DefinitionStore& store,
-                  wfrt::ProgramRegistry* programs, const std::string& process,
-                  bool packed, bool use_step = true) {
-  RunResult out;
-  MemoryJournal journal;
-  wfrt::EngineOptions options;
-  options.packed_instance_state = packed;
-  options.use_step_programs = use_step;
-  wfrt::Engine engine(&store, programs, options);
-  EXPECT_TRUE(engine.AttachJournal(&journal).ok());
-  auto id = engine.RunToCompletion(process);
-  EXPECT_TRUE(id.ok()) << id.status().ToString();
-  if (id.ok()) {
-    EXPECT_TRUE(engine.IsFinished(*id));
-    out.trace = engine.audit().CompactTrace(*id, {});
-    auto o = engine.OutputOf(*id);
-    if (o.ok()) out.output = o->Serialize();
-  }
-  auto records = journal.ReadAll();
-  EXPECT_TRUE(records.ok());
-  for (const wfjournal::Record& r : *records) {
-    out.records.push_back(r.Encode());
-  }
-  out.stats = engine.stats();
-  return out;
-}
 
 class InstanceLayoutTest : public ::testing::Test {
  protected:
@@ -101,160 +48,10 @@ class InstanceLayoutTest : public ::testing::Test {
     return t->root_process;
   }
 
-  // Figure 3 flexible transaction with T5 aborting: forces the
-  // alternative path — preferences, OR-joins, contingency blocks.
-  std::string SetupFigure3() {
-    atm::FlexSpec flex = atm::MakeFigure3Spec();
-    auto t = exo::TranslateFlex(flex, &store_);
-    EXPECT_TRUE(t.ok()) << t.status().ToString();
-    runner_ = std::make_unique<AbortingRunner>(std::set<std::string>{"T5"});
-    EXPECT_TRUE(
-        exo::BindFlexPrograms(flex, store_, runner_.get(), &programs_).ok());
-    return t->root_process;
-  }
-
   wf::DefinitionStore store_;
   wfrt::ProgramRegistry programs_;
   std::unique_ptr<AbortingRunner> runner_;
 };
-
-TEST_F(InstanceLayoutTest, TripSagaByteIdenticalAcrossLayouts) {
-  std::string process = SetupTripSaga();
-  RunResult legacy = RunOnce(store_, &programs_, process, /*packed=*/false);
-  ASSERT_FALSE(legacy.records.empty());
-  RunResult packed = RunOnce(store_, &programs_, process, /*packed=*/true);
-  EXPECT_EQ(legacy.records, packed.records);
-  EXPECT_EQ(legacy.trace, packed.trace);
-  EXPECT_EQ(legacy.output, packed.output);
-  EXPECT_EQ(legacy.stats.activities_executed, packed.stats.activities_executed);
-  EXPECT_EQ(legacy.stats.connectors_evaluated,
-            packed.stats.connectors_evaluated);
-  EXPECT_EQ(legacy.stats.dead_path_terminations,
-            packed.stats.dead_path_terminations);
-}
-
-TEST_F(InstanceLayoutTest, Figure3ByteIdenticalAcrossLayouts) {
-  std::string process = SetupFigure3();
-  RunResult legacy = RunOnce(store_, &programs_, process, /*packed=*/false);
-  ASSERT_FALSE(legacy.records.empty());
-  RunResult packed = RunOnce(store_, &programs_, process, /*packed=*/true);
-  EXPECT_EQ(legacy.records, packed.records);
-  EXPECT_EQ(legacy.trace, packed.trace);
-  EXPECT_EQ(legacy.output, packed.output);
-}
-
-TEST_F(InstanceLayoutTest, InterpretedSweepAlsoByteIdentical) {
-  // The interpreted sweep (step programs off) has its own accessor
-  // conversion; pin it to the same golden as the fused path.
-  std::string process = SetupTripSaga();
-  RunResult golden =
-      RunOnce(store_, &programs_, process, /*packed=*/false, /*use_step=*/true);
-  for (bool packed : {false, true}) {
-    SCOPED_TRACE(packed ? "packed" : "legacy");
-    RunResult interp =
-        RunOnce(store_, &programs_, process, packed, /*use_step=*/false);
-    EXPECT_EQ(golden.records, interp.records);
-    EXPECT_EQ(golden.trace, interp.trace);
-    EXPECT_EQ(golden.output, interp.output);
-  }
-}
-
-TEST_F(InstanceLayoutTest, ErrorStringsMatchAcrossLayouts) {
-  ASSERT_TRUE(DeclareDefaultProgram(&store_, "ok").ok());
-  ASSERT_TRUE(BindConstRc(&programs_, "ok", 0).ok());
-  wf::ProcessBuilder b(&store_, "err");
-  b.Program("A", "ok").Program("B", "ok");
-  b.Connect("A", "B", "RC < \"x\"");  // type error at evaluation time
-  ASSERT_TRUE(b.Register().ok());
-
-  std::vector<std::string> errors;
-  for (bool packed : {false, true}) {
-    wfrt::EngineOptions options;
-    options.packed_instance_state = packed;
-    wfrt::Engine engine(&store_, &programs_, options);
-    ASSERT_TRUE(engine.StartProcess("err").ok());
-    Status st = engine.Run();
-    ASSERT_FALSE(st.ok());
-    errors.push_back(st.ToString());
-  }
-  EXPECT_EQ(errors[0], errors[1]);
-}
-
-// Snapshot images are the same bytes from either layout, and an image
-// checkpointed by one layout recovers on an engine running the other —
-// the wire format is layout-independent in both directions.
-TEST_F(InstanceLayoutTest, SnapshotRecoveryCrossesLayouts) {
-  std::string process = SetupTripSaga();
-  for (bool writer_packed : {false, true}) {
-    SCOPED_TRACE(writer_packed ? "packed writer" : "legacy writer");
-    MemoryJournal journal;
-    std::string id;
-    {
-      wfrt::EngineOptions options;
-      options.packed_instance_state = writer_packed;
-      wfrt::Engine engine(&store_, &programs_, options);
-      ASSERT_TRUE(engine.AttachJournal(&journal).ok());
-      auto started = engine.StartProcess(process);
-      ASSERT_TRUE(started.ok());
-      id = *started;
-      bool quiescent = false;
-      ASSERT_TRUE(engine.RunSlice(5, &quiescent).ok());
-      ASSERT_FALSE(engine.IsFinished(id));
-      ASSERT_TRUE(engine.Checkpoint().ok());
-      // Writer crashes here; the snapshot is the only surviving state.
-    }
-    wfrt::EngineOptions options;
-    options.packed_instance_state = !writer_packed;  // the other layout
-    wfrt::Engine reader(&store_, &programs_, options);
-    ASSERT_TRUE(reader.AttachJournal(&journal).ok());
-    ASSERT_TRUE(reader.Recover().ok());
-    ASSERT_TRUE(reader.Run().ok());
-    EXPECT_TRUE(reader.IsFinished(id));
-  }
-}
-
-// Detach on one layout, adopt on the other, at several slice boundaries.
-TEST_F(InstanceLayoutTest, DetachAdoptCrossesLayouts) {
-  ASSERT_TRUE(DeclareDefaultProgram(&store_, "ok").ok());
-  ASSERT_TRUE(BindConstRc(&programs_, "ok", 7).ok());
-  wf::ProcessBuilder b(&store_, "chain");
-  std::string prev;
-  for (int i = 1; i <= 6; ++i) {
-    std::string act = "A" + std::to_string(i);
-    b.Program(act, "ok");
-    if (!prev.empty()) b.Connect(prev, act);
-    prev = act;
-  }
-  b.MapToOutput(prev, {{"RC", "RC"}});
-  ASSERT_TRUE(b.Register().ok());
-
-  for (bool victim_packed : {false, true}) {
-    for (int k = 1; k <= 5; k += 2) {
-      SCOPED_TRACE((victim_packed ? "packed victim" : "legacy victim") +
-                   std::string(", steal after ") + std::to_string(k));
-      wfrt::EngineOptions vo, to;
-      vo.packed_instance_state = victim_packed;
-      vo.instance_id_prefix = "a:";
-      to.packed_instance_state = !victim_packed;
-      to.instance_id_prefix = "b:";
-      wfrt::Engine victim(&store_, &programs_, vo);
-      wfrt::Engine thief(&store_, &programs_, to);
-
-      auto id = victim.StartProcess("chain");
-      ASSERT_TRUE(id.ok());
-      bool quiescent = false;
-      ASSERT_TRUE(victim.RunSlice(k, &quiescent).ok());
-      auto detached = victim.Detach(*id);
-      ASSERT_TRUE(detached.ok()) << detached.status().ToString();
-      ASSERT_TRUE(thief.Adopt(*detached).ok());
-      ASSERT_TRUE(thief.Run().ok());
-      ASSERT_TRUE(thief.IsFinished(*id));
-      auto out = thief.OutputOf(*id);
-      ASSERT_TRUE(out.ok());
-      EXPECT_EQ(out->Get("RC")->as_long(), 7);
-    }
-  }
-}
 
 // The packed hot block is exactly what the plan's HotLayout says it is,
 // and the dense scans agree with the per-activity accessors.
@@ -271,12 +68,11 @@ TEST_F(InstanceLayoutTest, HotLayoutMatchesPlan) {
   EXPECT_EQ(hl.failures_base, hl.attempt_base + 4 * n);
   EXPECT_EQ(hl.size, hl.failures_base + 4 * n);
 
-  wfrt::Engine engine(&store_, &programs_);  // packed by default
+  wfrt::Engine engine(&store_, &programs_);
   auto id = engine.RunToCompletion(process);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   auto inst = engine.FindInstance(*id);
   ASSERT_TRUE(inst.ok());
-  ASSERT_TRUE((*inst)->packed);
   EXPECT_EQ((*inst)->hot.size(), hl.size);
   size_t settled = (*inst)->CountInState(wf::ActivityState::kTerminated) +
                    (*inst)->CountInState(wf::ActivityState::kDead);

@@ -278,6 +278,102 @@ TEST(StealTest, BlockFamilyMigratesTogether) {
   EXPECT_EQ(victim.unfinished_top_level(), 0u);
 }
 
+// Rewrites the `nth` line of `image` that starts with `tag` ("A" for an
+// activity line): `field < 0` drops the line, otherwise tab field `field`
+// becomes `value`.
+std::string EditImageLine(const std::string& image, const std::string& tag,
+                          int nth, int field, const std::string& value = "") {
+  std::vector<std::string> out;
+  int seen = 0;
+  for (const std::string& line : Split(image, '\n')) {
+    if (line.empty()) continue;
+    std::vector<std::string> f = Split(line, '\t');
+    if (f[0] == tag && seen++ == nth) {
+      if (field < 0) continue;
+      f[static_cast<size_t>(field)] = value;
+      out.push_back(Join(f, "\t"));
+      continue;
+    }
+    out.push_back(line);
+  }
+  return Join(out, "\n") + "\n";
+}
+
+// A rejected Adopt leaves the thief exactly as it was — no half-adopted
+// family member indexed, ordered, or enqueued — so the intact image still
+// adopts and runs to completion afterwards.
+TEST(StealTest, RejectedAdoptLeavesThiefUntouched) {
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(DeclareDefaultProgram(&store, "ok").ok());
+  ASSERT_TRUE(BindConstRc(&programs, "ok", 0).ok());
+  RegisterChain(&store, "inner", 3, "ok");
+  RegisterChain(&store, "chain", 2, "ok");
+  {
+    wf::ProcessBuilder b(&store, "outer");
+    b.Program("Pre", "ok");
+    b.Block("Sub", "inner");
+    b.Program("Post", "ok");
+    b.Connect("Pre", "Sub");
+    b.Connect("Sub", "Post");
+    b.MapToOutput("Post", {{"RC", "RC"}});
+    ASSERT_TRUE(b.Register().ok());
+  }
+
+  wfrt::Engine victim(&store, &programs, Prefixed("a:"));
+  auto id = victim.StartProcess("outer");
+  ASSERT_TRUE(id.ok());
+  bool quiescent = false;
+  ASSERT_TRUE(victim.RunSlice(3, &quiescent).ok());
+  auto intact = victim.Detach(*id);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  ASSERT_EQ(intact->images.size(), 2u);  // root + block child
+  const std::string& root = intact->images[0];
+  const std::string& child = intact->images[1];
+
+  struct Case {
+    const char* name;
+    std::vector<std::string> images;
+    bool corruption;  ///< Corruption, else another error code
+  };
+  const std::vector<Case> cases = {
+      {"dropped activity line", {EditImageLine(root, "A", 1, -1), child},
+       true},
+      {"wrong eval arity", {EditImageLine(root, "A", 0, 5, "-"), child}, true},
+      {"bad activity container image",
+       {EditImageLine(root, "A", 0, 7, EscapeQuoted("NOPE=1")), child},
+       false},
+      {"bad child image", {root, EditImageLine(child, "A", 2, -1)}, true},
+      {"duplicate member id", {root, root}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    wfrt::Engine thief(&store, &programs, Prefixed("b:"));
+    ASSERT_TRUE(thief.StartProcess("chain").ok());  // work of its own
+    const std::vector<std::string> order = thief.instance_order();
+    const size_t depth = thief.ready_depth();
+    const size_t unfinished = thief.unfinished_top_level();
+    const uint64_t spinups = thief.stats().arena_spinups;
+
+    wfrt::DetachedInstance bad = *intact;
+    bad.images = c.images;
+    Status st = thief.Adopt(bad);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.IsCorruption(), c.corruption) << st.ToString();
+    EXPECT_EQ(thief.instance_order(), order);
+    EXPECT_EQ(thief.ready_depth(), depth);
+    EXPECT_EQ(thief.unfinished_top_level(), unfinished);
+    EXPECT_EQ(thief.stats().arena_spinups, spinups);
+    EXPECT_TRUE(thief.FindInstance(*id).status().IsNotFound());
+
+    ASSERT_TRUE(thief.Adopt(*intact).ok());
+    ASSERT_TRUE(thief.Run().ok());
+    ASSERT_TRUE(thief.IsFinished(*id));
+    EXPECT_EQ(thief.OutputOf(*id)->Get("RC")->as_long(), 0);
+    EXPECT_EQ(thief.unfinished_top_level(), 0u);
+  }
+}
+
 TEST(StealTest, MigrationSurvivesCrashRecoveryOnBothSides) {
   wf::DefinitionStore store;
   wfrt::ProgramRegistry programs;

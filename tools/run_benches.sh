@@ -6,40 +6,24 @@
 #   BUILD_DIR=build-release  tools/run_benches.sh   # override build dir
 #   FAULTS_OUT=faults.json   tools/run_benches.sh   # override faults file
 #   FLEET_OUT=fleet.json     tools/run_benches.sh   # override fleet file
-#   COND_OUT=cond.json       tools/run_benches.sh   # override condition file
-#   STEP_OUT=step.json       tools/run_benches.sh   # override step file
 #   RECOVERY_OUT=rec.json    tools/run_benches.sh   # override recovery file
-#   LAYOUT_OUT=layout.json   tools/run_benches.sh   # override layout file
-#   NATIVE_OUT=native.json   tools/run_benches.sh   # override native file
 #
 # The output has one top-level key per benchmark binary, each holding the
 # raw Google Benchmark JSON (context + benchmarks array). The fault-
 # injection benchmarks (bench_recovery under FaultPlan/FaultyJournal) are
 # additionally emitted on their own into BENCH_faults.json so the
 # robustness numbers can be tracked separately from the navigation ones.
-# The scheduler head-to-heads (bench_fleet's SkewedBatch and
-# StartInstance, static vs stealing / legacy vs arena) are likewise
-# emitted into BENCH_fleet.json, with aggregate repetitions so the
-# speedup ratios are robust to scheduling noise. The condition-VM
-# head-to-heads (bench_condition plus bench_navigation's
-# ConditionedChain, tree-walk vs compiled VM) land in BENCH_cond.json
-# the same way. The compilation-ladder upper rungs — typed condition
-# programs (ConditionEval vm:2) and the fused step programs
-# (StepChainNavigation) — land in BENCH_step.json, with ladder speedups
-# measured against the same run's interpreted-VM conditioned chain so
-# they compare like with like on this machine. The snapshot-recovery
-# head-to-heads (bench_recovery's RecoverAfterHistory with/without
-# checkpoints and FleetRecoverSharded 1-vs-4 shards) land in
-# BENCH_recovery.json; note the sharded speedup tracks the machine's
-# core count (a 1-core box reports ~1.0). The instance-layout
-# head-to-heads (PackedChainNavigation and PackedStartInstance, packed
-# SoA hot/cold split vs the legacy AoS runtime vector, plus the skewed
-# steal batch for cost-aware-victim context) land in BENCH_layout.json.
-# The native-codegen head-to-heads (NativeChainNavigation and
-# NativeConditionedChain, x86-64 step functions vs the threaded-code
-# interpreter on the same fused plans) land in BENCH_native.json; on
-# builds without the emitter both arms run threaded code and the ratios
-# collapse to ~1.
+# The scheduler head-to-head (bench_fleet's SkewedBatch, static vs
+# stealing) is likewise emitted into BENCH_fleet.json, with aggregate
+# repetitions so the speedup ratio is robust to scheduling noise. The
+# snapshot-recovery head-to-heads (bench_recovery's RecoverAfterHistory
+# with/without checkpoints and FleetRecoverSharded 1-vs-4 shards) land in
+# BENCH_recovery.json; note the sharded speedup tracks the machine's core
+# count (a 1-core box reports ~1.0).
+#
+# These are component benchmarks. The end-to-end production path (journal
+# attached, audit on, sagas and Figure-3 flex over transactional sites) is
+# measured by prodbench/: python3 prodbench/run.py --workload <w>.
 
 set -euo pipefail
 
@@ -47,13 +31,9 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_nav.json}"
 FAULTS_OUT="${FAULTS_OUT:-BENCH_faults.json}"
 FLEET_OUT="${FLEET_OUT:-BENCH_fleet.json}"
-COND_OUT="${COND_OUT:-BENCH_cond.json}"
-STEP_OUT="${STEP_OUT:-BENCH_step.json}"
 RECOVERY_OUT="${RECOVERY_OUT:-BENCH_recovery.json}"
-LAYOUT_OUT="${LAYOUT_OUT:-BENCH_layout.json}"
-NATIVE_OUT="${NATIVE_OUT:-BENCH_native.json}"
 BUILD_DIR="${BUILD_DIR:-build}"
-BENCHES=(bench_navigation bench_fleet bench_recovery bench_condition)
+BENCHES=(bench_navigation bench_fleet bench_recovery)
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${BENCHES[@]}"
@@ -71,56 +51,11 @@ echo "== bench_recovery (injected faults) ==" >&2
   --benchmark_filter='Fault' \
   --benchmark_min_time=0.2 > "$tmpdir/bench_faults.json"
 
-# Spin-up first: the skewed-batch benchmark spends most of its wall
-# clock in sleeps, which lets the frequency governor downclock and
-# taints any timing run after it.
-echo "== bench_fleet (arena spin-up) ==" >&2
-"$BUILD_DIR/bench/bench_fleet" --benchmark_format=json \
-  --benchmark_filter='StartInstance' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_fleet_spinup.json"
-
-echo "== bench_condition (tree-walk vs VM) ==" >&2
-"$BUILD_DIR/bench/bench_condition" --benchmark_format=json \
-  --benchmark_filter='BM_ConditionEval' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_cond_eval.json"
-
-echo "== bench_navigation (conditioned chain, tree-walk vs VM) ==" >&2
-"$BUILD_DIR/bench/bench_navigation" --benchmark_format=json \
-  --benchmark_filter='ConditionedChain' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_cond_nav.json"
-
-echo "== bench_navigation (fused step programs) ==" >&2
-"$BUILD_DIR/bench/bench_navigation" --benchmark_format=json \
-  --benchmark_filter='StepChain' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_step_nav.json"
-
 echo "== bench_recovery (snapshot + sharded recovery) ==" >&2
 "$BUILD_DIR/bench/bench_recovery" --benchmark_format=json \
   --benchmark_filter='RecoverAfterHistory|FleetRecoverSharded' \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
   > "$tmpdir/bench_recovery_snap.json"
-
-echo "== bench_navigation (packed vs legacy layout) ==" >&2
-"$BUILD_DIR/bench/bench_navigation" --benchmark_format=json \
-  --benchmark_filter='PackedChain' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_layout_nav.json"
-
-echo "== bench_navigation (native codegen vs threaded code) ==" >&2
-"$BUILD_DIR/bench/bench_navigation" --benchmark_format=json \
-  --benchmark_filter='NativeChain|NativeConditionedChain' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_native_nav.json"
-
-echo "== bench_fleet (packed spin-up) ==" >&2
-"$BUILD_DIR/bench/bench_fleet" --benchmark_format=json \
-  --benchmark_filter='PackedStartInstance' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_layout_spinup.json"
 
 echo "== bench_fleet (scheduler head-to-head) ==" >&2
 "$BUILD_DIR/bench/bench_fleet" --benchmark_format=json \
@@ -157,13 +92,11 @@ import json, sys
 out_path, tmpdir = sys.argv[1], sys.argv[2]
 with open(f"{tmpdir}/bench_fleet_sched.json") as f:
     sched = json.load(f)
-with open(f"{tmpdir}/bench_fleet_spinup.json") as f:
-    spinup = json.load(f)
 
-# Headline speedups from the median aggregates: static vs stealing on the
-# skewed batch, legacy vs arena on spin-up.
+# Headline speedup from the median aggregates: static vs stealing on the
+# skewed batch.
 medians = {}
-for b in sched.get("benchmarks", []) + spinup.get("benchmarks", []):
+for b in sched.get("benchmarks", []):
     if b.get("aggregate_name") == "median":
         medians[b["run_name"]] = b
 
@@ -176,12 +109,8 @@ def speedup(name, base_key, test_key):
 speedup("skewed_batch_speedup_stealing",
         "BM_FleetSkewedBatch/stealing:0/real_time",
         "BM_FleetSkewedBatch/stealing:1/real_time")
-speedup("start_instance_speedup_arena",
-        "BM_FleetStartInstance/arena:0",
-        "BM_FleetStartInstance/arena:1")
 
-merged = {"bench_fleet_scheduler": sched, "bench_fleet_spinup": spinup,
-          "summary": summary}
+merged = {"bench_fleet_scheduler": sched, "summary": summary}
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=1)
     f.write("\n")
@@ -225,187 +154,6 @@ ratio("recovery_sharded_speedup",
       "BM_FleetRecoverSharded/shards:4")
 
 merged = {"bench_snapshot_recovery": rec, "summary": summary}
-with open(out_path, "w") as f:
-    json.dump(merged, f, indent=1)
-    f.write("\n")
-print(f"wrote {out_path}: {summary}")
-EOF
-
-python3 - "$LAYOUT_OUT" "$tmpdir" <<'EOF'
-import json, sys
-out_path, tmpdir = sys.argv[1], sys.argv[2]
-with open(f"{tmpdir}/bench_layout_nav.json") as f:
-    nav = json.load(f)
-with open(f"{tmpdir}/bench_layout_spinup.json") as f:
-    spinup = json.load(f)
-with open(f"{tmpdir}/bench_fleet_sched.json") as f:
-    sched = json.load(f)
-
-# Headline speedups from the median aggregates: packed SoA hot/cold
-# layout (packed:1) vs the legacy AoS runtime vector (packed:0), on the
-# fully fused conditioned chain and on raw spin-up. The headline gate is
-# packed_start_instance_100_speedup (measured 1.15-1.21x; gated >= 1.08x
-# in CI with noise margin — spin-up is where the layout eliminates the
-# per-activity struct copy outright); packed_chain_1000_speedup is gated
-# as a wide no-regression floor since the settle sweep was already O(1)
-# before the split and the ratio sits inside machine noise (see
-# docs/specs/instance_layout.md). The skewed steal batch rides along for
-# cost-aware-victim context: its median "stolen" counter shows stealing
-# still drains the loaded engine with the cost-weighted victim pick in
-# place.
-medians = {}
-for b in (nav.get("benchmarks", []) + spinup.get("benchmarks", []) +
-          sched.get("benchmarks", [])):
-    if b.get("aggregate_name") == "median":
-        medians[b["run_name"]] = b
-
-summary = {}
-def speedup(name, base_key, test_key):
-    base, test = medians.get(base_key), medians.get(test_key)
-    if base and test:
-        summary[name] = round(base["real_time"] / test["real_time"], 3)
-
-for n in (100, 1000):
-    speedup(f"packed_chain_{n}_speedup",
-            f"BM_PackedChainNavigation/n:{n}/packed:0",
-            f"BM_PackedChainNavigation/n:{n}/packed:1")
-for n in (20, 100):
-    speedup(f"packed_start_instance_{n}_speedup",
-            f"BM_PackedStartInstance/n:{n}/packed:0",
-            f"BM_PackedStartInstance/n:{n}/packed:1")
-speedup("skewed_batch_speedup_stealing",
-        "BM_FleetSkewedBatch/stealing:0/real_time",
-        "BM_FleetSkewedBatch/stealing:1/real_time")
-
-merged = {"bench_layout_navigation": nav, "bench_layout_spinup": spinup,
-          "bench_fleet_scheduler": sched, "summary": summary}
-with open(out_path, "w") as f:
-    json.dump(merged, f, indent=1)
-    f.write("\n")
-print(f"wrote {out_path}: {summary}")
-EOF
-
-python3 - "$COND_OUT" "$tmpdir" <<'EOF'
-import json, sys
-out_path, tmpdir = sys.argv[1], sys.argv[2]
-with open(f"{tmpdir}/bench_cond_eval.json") as f:
-    micro = json.load(f)
-with open(f"{tmpdir}/bench_cond_nav.json") as f:
-    nav = json.load(f)
-
-# Headline speedups from the median aggregates: tree-walk (vm:0) vs
-# compiled VM (vm:1), per expression shape and end-to-end.
-medians = {}
-for b in micro.get("benchmarks", []) + nav.get("benchmarks", []):
-    if b.get("aggregate_name") == "median":
-        medians[b["run_name"]] = b
-
-summary = {}
-def speedup(name, base_key, test_key):
-    base, test = medians.get(base_key), medians.get(test_key)
-    if base and test:
-        summary[name] = round(base["real_time"] / test["real_time"], 3)
-
-for expr, label in [(0, "trivial"), (1, "guard"), (2, "wide")]:
-    speedup(f"condition_eval_speedup_vm_{label}",
-            f"BM_ConditionEval/expr:{expr}/vm:0",
-            f"BM_ConditionEval/expr:{expr}/vm:1")
-for n in (100, 1000):
-    speedup(f"conditioned_chain_{n}_speedup_vm",
-            f"BM_ConditionedChainNavigation/n:{n}/vm:0",
-            f"BM_ConditionedChainNavigation/n:{n}/vm:1")
-
-merged = {"bench_condition_eval": micro, "bench_conditioned_navigation": nav,
-          "summary": summary}
-with open(out_path, "w") as f:
-    json.dump(merged, f, indent=1)
-    f.write("\n")
-print(f"wrote {out_path}: {summary}")
-EOF
-
-python3 - "$STEP_OUT" "$tmpdir" <<'EOF'
-import json, sys
-out_path, tmpdir = sys.argv[1], sys.argv[2]
-with open(f"{tmpdir}/bench_cond_eval.json") as f:
-    micro = json.load(f)
-with open(f"{tmpdir}/bench_cond_nav.json") as f:
-    nav = json.load(f)
-with open(f"{tmpdir}/bench_step_nav.json") as f:
-    step = json.load(f)
-
-# Headline speedups from the median aggregates, one per ladder rung:
-# typed programs vs tree-walk and vs the generic VM (micro), step fusion
-# vs the interpreted sweep over the same typed programs (A/B), and the
-# acceptance number — the fully fused chain vs this run's interpreted-VM
-# conditioned chain, i.e. what BENCH_cond.json's vm:1 series measures.
-medians = {}
-for b in (micro.get("benchmarks", []) + nav.get("benchmarks", []) +
-          step.get("benchmarks", [])):
-    if b.get("aggregate_name") == "median":
-        medians[b["run_name"]] = b
-
-summary = {}
-def speedup(name, base_key, test_key):
-    base, test = medians.get(base_key), medians.get(test_key)
-    if base and test:
-        summary[name] = round(base["real_time"] / test["real_time"], 3)
-
-for expr, label in [(0, "trivial"), (1, "guard"), (2, "wide")]:
-    speedup(f"condition_eval_speedup_typed_{label}",
-            f"BM_ConditionEval/expr:{expr}/vm:0",
-            f"BM_ConditionEval/expr:{expr}/vm:2")
-    speedup(f"condition_eval_speedup_typed_vs_generic_{label}",
-            f"BM_ConditionEval/expr:{expr}/vm:1",
-            f"BM_ConditionEval/expr:{expr}/vm:2")
-for n in (100, 1000):
-    speedup(f"step_chain_{n}_speedup_fused",
-            f"BM_StepChainNavigation/n:{n}/step:0",
-            f"BM_StepChainNavigation/n:{n}/step:1")
-    speedup(f"conditioned_chain_{n}_speedup_ladder",
-            f"BM_ConditionedChainNavigation/n:{n}/vm:1",
-            f"BM_StepChainNavigation/n:{n}/step:1")
-
-merged = {"bench_step_navigation": step, "summary": summary}
-with open(out_path, "w") as f:
-    json.dump(merged, f, indent=1)
-    f.write("\n")
-print(f"wrote {out_path}: {summary}")
-EOF
-
-python3 - "$NATIVE_OUT" "$tmpdir" <<'EOF'
-import json, sys
-out_path, tmpdir = sys.argv[1], sys.argv[2]
-with open(f"{tmpdir}/bench_native_nav.json") as f:
-    nav = json.load(f)
-
-# Headline speedups from the median aggregates: the native x86-64 step
-# functions (native:1) vs the threaded-code interpreter (native:0) on
-# the same fused plans. native_chain prices the sweep scaffold (simple
-# guard conditions), native_conditioned_chain additionally prices the
-# lowered eight-clause arithmetic condition on every hop. The CI acceptance number is
-# the best n:100 ratio >= 1.15 (check_bench_regression.py
-# --native-fresh); on emitter-less builds both arms are threaded code
-# and the ratios sit at ~1.0.
-medians = {}
-for b in nav.get("benchmarks", []):
-    if b.get("aggregate_name") == "median":
-        medians[b["run_name"]] = b
-
-summary = {}
-def speedup(name, base_key, test_key):
-    base, test = medians.get(base_key), medians.get(test_key)
-    if base and test:
-        summary[name] = round(base["real_time"] / test["real_time"], 3)
-
-for n in (100, 1000):
-    speedup(f"native_chain_{n}_speedup",
-            f"BM_NativeChainNavigation/n:{n}/native:0",
-            f"BM_NativeChainNavigation/n:{n}/native:1")
-    speedup(f"native_conditioned_chain_{n}_speedup",
-            f"BM_NativeConditionedChain/n:{n}/native:0",
-            f"BM_NativeConditionedChain/n:{n}/native:1")
-
-merged = {"bench_native_navigation": nav, "summary": summary}
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=1)
     f.write("\n")
