@@ -1,7 +1,7 @@
 // Fleet scaling: instance throughput vs engine count, with and without
 // data-site contention — the scaling dimension FlowMark-style deployments
-// rely on (concurrency across instances, not within one). Plus the two
-// schedulers head-to-head on a skewed batch.
+// rely on (concurrency across instances, not within one). Plus the
+// work-stealing scheduler on a skewed batch.
 
 #include <benchmark/benchmark.h>
 
@@ -107,9 +107,8 @@ class SleepRunner : public atm::SubTxnRunner {
 // count-fair and breaks ties toward the lowest-index engine, so this
 // ordering lands every heavy flex on engine 0 — four instances each,
 // wildly different cost. Stealing drains engine 0's backlog onto the
-// idle peers. range(0) toggles the scheduler.
+// idle peers.
 void BM_FleetSkewedBatch(benchmark::State& state) {
-  const bool stealing = state.range(0) != 0;
   constexpr int kEngines = 4;
 
   atm::FlexSpec flex = atm::MakeFigure3Spec();
@@ -137,7 +136,6 @@ void BM_FleetSkewedBatch(benchmark::State& state) {
   }
 
   wfrt::FleetOptions fo;
-  fo.work_stealing = stealing;
   fo.steal_slice = 1;  // serve thieves after every pop: sleeps dominate
 
   for (auto _ : state) {
@@ -154,11 +152,7 @@ void BM_FleetSkewedBatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FleetSkewedBatch)
-    ->Arg(0)->Arg(1)
-    ->ArgName("stealing")
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetSkewedBatch)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace exotica::bench

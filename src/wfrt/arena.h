@@ -1,9 +1,11 @@
 // Per-plan instance spin-up arena.
 //
 // The arena precomputes, once per process definition, everything an
-// instance starts from: the preformatted hot block (plan->hot() layout)
-// and one input/output container prototype per activity. Starting (or
-// adopting) an instance then reduces to one copy of the hot block plus a
+// instance starts from: the preformatted hot block (plan->hot() layout),
+// the process input/output container prototypes, and one input/output
+// container prototype per activity. Building an instance (start, journal
+// replay, adoption, snapshot restore; Engine::BuildInstance) then reduces
+// to two container copies, one copy of the hot block and a
 // default-constructed cold sidecar; cold containers are copied from the
 // prototypes on first touch, sharing the immutable container layouts
 // instead of walking the type registry.
@@ -42,7 +44,8 @@ class InstanceArena {
   static Result<InstanceArena> Build(const wf::ProcessDefinition& definition,
                                      const data::TypeRegistry& types);
 
-  /// Process input/output container prototypes.
+  /// Process input/output container prototypes: every instance's process
+  /// containers start as copies of these.
   const data::Container& input() const { return input_; }
   const data::Container& output() const { return output_; }
 

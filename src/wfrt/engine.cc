@@ -171,17 +171,6 @@ Result<wf::ActivityState> Engine::StateOf(const std::string& id,
   return inst->state(static_cast<uint32_t>(*aid));
 }
 
-Result<data::Container> Engine::NewContainer(const std::string& type_name) {
-  auto it = container_protos_.find(type_name);
-  if (it == container_protos_.end()) {
-    EXO_ASSIGN_OR_RETURN(
-        data::Container proto,
-        data::Container::Create(definitions_->types(), type_name));
-    it = container_protos_.emplace(type_name, std::move(proto)).first;
-  }
-  return it->second;
-}
-
 // --- instance creation ------------------------------------------------------
 
 Result<std::string> Engine::StartProcess(const std::string& process_name,
@@ -198,27 +187,22 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
                                            const std::string& parent_instance,
                                            const std::string& parent_activity) {
   std::string id = NewInstanceId();
+  if (input != nullptr && input->type_name() != def->input_type()) {
+    return Status::InvalidArgument(
+        "input container type " + input->type_name() +
+        " does not match process input type " + def->input_type());
+  }
 
   ProcessInstance inst;
   inst.id = id;
-  inst.definition = def;
-  inst.plan = &def->plan();
   inst.parent_instance = parent_instance;
   inst.parent_activity = parent_activity;
-  EXO_ASSIGN_OR_RETURN(inst.input, NewContainer(def->input_type()));
-  if (input != nullptr) {
-    if (input->type_name() != def->input_type()) {
-      return Status::InvalidArgument(
-          "input container type " + input->type_name() +
-          " does not match process input type " + def->input_type());
-    }
-    inst.input = *input;
-  }
-  EXO_ASSIGN_OR_RETURN(inst.output, NewContainer(def->output_type()));
+  EXO_RETURN_NOT_OK(BuildInstance(def, input, &inst));
 
-  // The payload pins the template version so recovery replays against the
-  // exact definition this instance started with, even if newer versions
-  // registered since.
+  // Journaled once built, so a start that fails to build leaves no record
+  // behind for replay to trip over. The payload pins the template version
+  // so recovery replays against the exact definition this instance
+  // started with, even if newer versions registered since.
   if (journal_ != nullptr) {
     EXO_RETURN_NOT_OK(JournalAppend(
         wfjournal::EventType::kInstanceStart, id, parent_activity,
@@ -226,8 +210,6 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
         "v" + std::to_string(def->version()) + ":" + def->name(),
         inst.input.Serialize()));
   }
-
-  EXO_RETURN_NOT_OK(InitializeRuntimes(&inst));
   ProcessInstance* p = CommitInstance(std::move(inst));
   ++stats_.instances_started;
   Audit(AuditKind::kInstanceStarted, id, "", def->name());
@@ -256,13 +238,27 @@ Result<const InstanceArena*> Engine::ArenaFor(const wf::ProcessDefinition* def) 
   return &it->second;
 }
 
-Status Engine::InitializeRuntimes(ProcessInstance* inst) {
+Status Engine::BuildInstance(const wf::ProcessDefinition* def,
+                             const data::Container* input,
+                             ProcessInstance* inst,
+                             const std::string& input_image,
+                             const std::string& output_image) {
+  EXO_ASSIGN_OR_RETURN(const InstanceArena* arena, ArenaFor(def));
+  const wf::NavigationPlan& plan = def->plan();
+  inst->definition = def;
+  inst->plan = &plan;
+  inst->arena = arena;
+  inst->input = input != nullptr ? *input : arena->input();
+  if (!input_image.empty()) {
+    EXO_RETURN_NOT_OK(inst->input.Deserialize(input_image));
+  }
+  inst->output = arena->output();
+  if (!output_image.empty()) {
+    EXO_RETURN_NOT_OK(inst->output.Deserialize(output_image));
+  }
   // One copy of the arena's preformatted hot block plus a
   // default-constructed cold sidecar — no per-activity container copies at
   // spin-up; cold containers materialize on first touch.
-  EXO_ASSIGN_OR_RETURN(const InstanceArena* arena, ArenaFor(inst->definition));
-  const wf::NavigationPlan& plan = *inst->plan;
-  inst->arena = arena;
   inst->hl = plan.hot();
   inst->hot = arena->hot_image();
   inst->cold.resize(plan.activity_count());
@@ -315,6 +311,20 @@ Status Engine::PostWorkItem(ProcessInstance* inst, uint32_t aid,
   inst->work_item(aid) = item;
   Audit(AuditKind::kWorkItemPosted, inst->id, def.name, std::to_string(item));
   return Status::OK();
+}
+
+void Engine::WithdrawWorkItem(ProcessInstance* inst, uint32_t aid,
+                              bool audited) {
+  std::optional<org::WorkItemId>& item = inst->work_item(aid);
+  if (!item.has_value() || worklists_ == nullptr) return;
+  // Best effort: the item may already be done (it should not be, since
+  // the activity is still unsettled, but recovery can race).
+  (void)worklists_->Cancel(*item);
+  if (audited) {
+    Audit(AuditKind::kWorkItemCancelled, inst->id, NameOf(inst, aid),
+          std::to_string(*item));
+  }
+  item.reset();
 }
 
 Status Engine::MakeReady(ProcessInstance* inst, uint32_t aid) {
@@ -533,10 +543,8 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
   }
   // The retry budget lives on the top-level instance, so block children
   // draw from one shared allowance.
-  ProcessInstance* root = inst;
-  while (root->is_child()) {
-    EXO_ASSIGN_OR_RETURN(root, MutableInstance(root->parent_instance));
-  }
+  EXO_ASSIGN_OR_RETURN(uint32_t root_index, RootIndex(inst));
+  ProcessInstance* root = &instances_[root_index];
   ++root->retries_used;
   if (options_.retry.instance_retry_budget > 0 &&
       root->retries_used > options_.retry.instance_retry_budget) {
@@ -560,45 +568,18 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
 }
 
 Status Engine::QuarantineInstance(ProcessInstance* inst, std::string reason) {
-  ProcessInstance* root = inst;
-  while (root->is_child()) {
-    EXO_ASSIGN_OR_RETURN(root, MutableInstance(root->parent_instance));
-  }
+  EXO_ASSIGN_OR_RETURN(uint32_t root_index, RootIndex(inst));
+  ProcessInstance* root = &instances_[root_index];
   EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kInstanceFailed,
                                   root->id, "", "", false, reason));
   return ApplyFailed(root, reason);
 }
 
 Status Engine::ApplyFailed(ProcessInstance* inst, const std::string& reason) {
-  // Children first, then the same name-ordered settle sweep as ApplyCancel;
-  // the instance keeps its journaled data state (a saga's compensation
-  // process stays runnable against the committed State image), it just
+  // The instance keeps its journaled data state (a saga's compensation
+  // process stays runnable against the committed State image); it just
   // stops navigating.
-  for (uint32_t aid : inst->plan->ids_by_name()) {
-    if (inst->state(aid) == ActivityState::kRunning &&
-        !inst->child_instance(aid).empty()) {
-      auto child = MutableInstance(inst->child_instance(aid));
-      if (child.ok() && !(*child)->finished && !(*child)->failed) {
-        EXO_RETURN_NOT_OK(ApplyFailed(*child, reason));
-      }
-    }
-  }
-  for (uint32_t aid : inst->plan->ids_by_name()) {
-    ActivityState s = inst->state(aid);
-    if (s == ActivityState::kTerminated || s == ActivityState::kDead) {
-      continue;
-    }
-    const std::string& name = NameOf(inst, aid);
-    std::optional<org::WorkItemId>& item = inst->work_item(aid);
-    if (item.has_value() && worklists_ != nullptr) {
-      (void)worklists_->Cancel(*item);
-      Audit(AuditKind::kWorkItemCancelled, inst->id, name,
-            std::to_string(*item));
-      item.reset();
-    }
-    inst->SetState(aid, ActivityState::kDead);
-    Audit(AuditKind::kActivityDead, inst->id, name, "failed");
-  }
+  EXO_RETURN_NOT_OK(SettleSweep(inst, /*cancel=*/false, reason));
   inst->failed = true;
   inst->failure_reason = reason;
   inst->suspended = false;
@@ -685,16 +666,7 @@ Status Engine::MarkDead(ProcessInstance* inst, uint32_t aid) {
         JournalAppend(wfjournal::EventType::kActivityDead, inst->id, name));
   }
   Audit(AuditKind::kActivityDead, inst->id, name);
-
-  std::optional<org::WorkItemId>& item = inst->work_item(aid);
-  if (item.has_value() && worklists_ != nullptr) {
-    // Best effort: the item may already be done (it should not be, since
-    // the activity was still waiting, but recovery can race).
-    (void)worklists_->Cancel(*item);
-    Audit(AuditKind::kWorkItemCancelled, inst->id, name,
-          std::to_string(*item));
-    item.reset();
-  }
+  WithdrawWorkItem(inst, aid);
   EXO_RETURN_NOT_OK(EvaluateOutgoing(inst, aid, /*all_false=*/true));
   return CheckInstanceCompletion(inst);
 }
@@ -975,13 +947,7 @@ Status Engine::ForceFinish(const std::string& instance_id,
                                    output.type_name() + " does not match " +
                                    def.output_type);
   }
-  std::optional<org::WorkItemId>& item = inst->work_item(uaid);
-  if (item.has_value() && worklists_ != nullptr) {
-    (void)worklists_->Cancel(*item);
-    Audit(AuditKind::kWorkItemCancelled, inst->id, activity,
-          std::to_string(*item));
-    item.reset();
-  }
+  WithdrawWorkItem(inst, uaid);
   const int32_t attempt = ++inst->attempt(uaid);
   EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityStarted,
                                   inst->id, activity, "", false,
@@ -1035,11 +1001,8 @@ Status Engine::ApplySuspend(ProcessInstance* inst) {
   // lifecycle sweeps preserve its iteration order so audit and worklist
   // effects stay byte-identical.
   for (uint32_t aid : inst->plan->ids_by_name()) {
-    std::optional<org::WorkItemId>& item = inst->work_item(aid);
-    if (item.has_value() && worklists_ != nullptr) {
-      (void)worklists_->Cancel(*item);
-      item.reset();
-    }
+    // Unaudited: ResumeSuspended reposts the item.
+    WithdrawWorkItem(inst, aid, /*audited=*/false);
     if (inst->state(aid) == ActivityState::kRunning &&
         !inst->child_instance(aid).empty()) {
       auto child = MutableInstance(inst->child_instance(aid));
@@ -1108,38 +1071,37 @@ Status Engine::CancelInstance(const std::string& instance_id) {
 }
 
 Status Engine::ApplyCancel(ProcessInstance* inst) {
-  // Children first, so a block child is settled before its parent slot.
-  // Both sweeps run in name order (see ApplySuspend).
-  for (uint32_t aid : inst->plan->ids_by_name()) {
-    if (inst->state(aid) == ActivityState::kRunning &&
-        !inst->child_instance(aid).empty()) {
-      auto child = MutableInstance(inst->child_instance(aid));
-      if (child.ok() && !(*child)->finished && !(*child)->failed) {
-        EXO_RETURN_NOT_OK(ApplyCancel(*child));
-      }
-    }
-  }
-  for (uint32_t aid : inst->plan->ids_by_name()) {
-    ActivityState s = inst->state(aid);
-    if (s == ActivityState::kTerminated || s == ActivityState::kDead) {
-      continue;
-    }
-    const std::string& name = NameOf(inst, aid);
-    std::optional<org::WorkItemId>& item = inst->work_item(aid);
-    if (item.has_value() && worklists_ != nullptr) {
-      (void)worklists_->Cancel(*item);
-      Audit(AuditKind::kWorkItemCancelled, inst->id, name,
-            std::to_string(*item));
-      item.reset();
-    }
-    inst->SetState(aid, ActivityState::kDead);
-    Audit(AuditKind::kActivityDead, inst->id, name, "cancelled");
-  }
+  EXO_RETURN_NOT_OK(SettleSweep(inst, /*cancel=*/true, ""));
   inst->cancelled = true;
   inst->suspended = false;
   inst->finished = true;
   ++stats_.instances_finished;
   Audit(AuditKind::kInstanceFinished, inst->id, "", "cancelled");
+  return Status::OK();
+}
+
+Status Engine::SettleSweep(ProcessInstance* inst, bool cancel,
+                           const std::string& reason) {
+  // Children first, so a block child is settled before its parent slot.
+  // Both passes run in name order (see ApplySuspend).
+  for (uint32_t aid : inst->plan->ids_by_name()) {
+    if (inst->state(aid) != ActivityState::kRunning ||
+        inst->child_instance(aid).empty()) {
+      continue;
+    }
+    auto child = MutableInstance(inst->child_instance(aid));
+    if (child.ok() && !(*child)->finished && !(*child)->failed) {
+      EXO_RETURN_NOT_OK(cancel ? ApplyCancel(*child)
+                               : ApplyFailed(*child, reason));
+    }
+  }
+  for (uint32_t aid : inst->plan->ids_by_name()) {
+    if (ProcessInstance::IsSettled(inst->state(aid))) continue;
+    WithdrawWorkItem(inst, aid);
+    inst->SetState(aid, ActivityState::kDead);
+    Audit(AuditKind::kActivityDead, inst->id, NameOf(inst, aid),
+          cancel ? "cancelled" : "failed");
+  }
   return Status::OK();
 }
 
@@ -1155,76 +1117,64 @@ size_t Engine::unfinished_top_level() const {
   return n;
 }
 
+Result<uint32_t> Engine::RootIndex(const ProcessInstance* inst) const {
+  while (inst->is_child()) {
+    EXO_ASSIGN_OR_RETURN(inst, FindInstance(inst->parent_instance));
+  }
+  return inst->index;
+}
+
+Status Engine::CollectFamily(const ProcessInstance* root,
+                             std::vector<const ProcessInstance*>* family) const {
+  family->push_back(root);
+  // Breadth-first, so parents always precede their children in the image
+  // list — the order Adopt materializes them in.
+  for (size_t i = 0; i < family->size(); ++i) {
+    const ProcessInstance* m = (*family)[i];
+    const uint32_t n = m->activity_count();
+    for (uint32_t aid = 0; aid < n; ++aid) {
+      const std::string& child_id = m->child_instance(aid);
+      if (child_id.empty()) continue;
+      EXO_ASSIGN_OR_RETURN(const ProcessInstance* child,
+                           FindInstance(child_id));
+      family->push_back(child);
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::string> Engine::PickDetachable() const {
   if (ready_queue_.empty()) {
     return Status::NotFound("ready queue is empty");
   }
-  auto root_of = [this](uint32_t index) -> const ProcessInstance* {
-    const ProcessInstance* p = &instances_[index];
-    while (p->is_child()) {
-      auto it = instance_index_.find(p->parent_instance);
-      if (it == instance_index_.end()) return nullptr;
-      p = &instances_[it->second];
-    }
-    return p;
-  };
-  auto family_size = [this](const ProcessInstance* root) -> size_t {
-    std::vector<const ProcessInstance*> frontier = {root};
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      const ProcessInstance* m = frontier[i];
-      const uint32_t n = m->activity_count();
-      for (uint32_t aid = 0; aid < n; ++aid) {
-        const std::string& child_id = m->child_instance(aid);
-        if (child_id.empty()) continue;
-        auto it = instance_index_.find(child_id);
-        if (it == instance_index_.end()) continue;
-        frontier.push_back(&instances_[it->second]);
-      }
-    }
-    return frontier.size();
-  };
   // The head family stays: the victim is about to execute it, so stealing
   // it would hand over the hottest cache lines and leave the victim idle.
   // Among the rest, prefer the *smallest* family: it is the cheapest to
   // serialize, and a deep block tree signals an expensive computation in
   // flight that is better finished where it lives than re-homed mid-run.
-  const ProcessInstance* head = root_of(ready_queue_.front().first);
+  Result<uint32_t> head = RootIndex(&instances_[ready_queue_.front().first]);
   const ProcessInstance* best = nullptr;
   size_t best_size = 0;
+  std::vector<const ProcessInstance*> family;
   for (auto it = ready_queue_.rbegin(); it != ready_queue_.rend(); ++it) {
-    const ProcessInstance* root = root_of(it->first);
-    if (root == nullptr || root == head || root == best) continue;
-    if (root->finished || root->failed || root->detached || root->suspended) {
+    Result<uint32_t> index = RootIndex(&instances_[it->first]);
+    if (!index.ok() || (head.ok() && *index == *head)) continue;
+    const ProcessInstance* root = &instances_[*index];
+    if (root == best || root->finished || root->failed || root->detached ||
+        root->suspended) {
       continue;
     }
-    size_t size = family_size(root);
-    if (best == nullptr || size < best_size) {
+    family.clear();
+    if (!CollectFamily(root, &family).ok()) continue;
+    if (best == nullptr || family.size() < best_size) {
       best = root;
-      best_size = size;
+      best_size = family.size();
     }
   }
   if (best == nullptr) {
     return Status::NotFound("ready queue holds a single instance family");
   }
   return best->id;
-}
-
-Status Engine::CollectFamily(ProcessInstance* root,
-                             std::vector<ProcessInstance*>* family) {
-  family->push_back(root);
-  // Breadth-first, so parents always precede their children in the image
-  // list — the order Adopt materializes them in.
-  for (size_t i = 0; i < family->size(); ++i) {
-    ProcessInstance* m = (*family)[i];
-    const uint32_t n = m->activity_count();
-    for (uint32_t aid = 0; aid < n; ++aid) {
-      const std::string& child_id = m->child_instance(aid);
-      if (child_id.empty()) continue;
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* child, MutableInstance(child_id));
-      family->push_back(child);
-    }
-  }
-  return Status::OK();
 }
 
 void Engine::ReleaseSlot(ProcessInstance* inst) {
@@ -1252,9 +1202,9 @@ Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
     return Status::FailedPrecondition("instance " + instance_id +
                                       " is quarantined; it stays put");
   }
-  std::vector<ProcessInstance*> family;
+  std::vector<const ProcessInstance*> family;
   EXO_RETURN_NOT_OK(CollectFamily(root, &family));
-  for (ProcessInstance* m : family) {
+  for (const ProcessInstance* m : family) {
     const uint32_t n = m->activity_count();
     for (uint32_t aid = 0; aid < n; ++aid) {
       if (m->work_item(aid).has_value()) {
@@ -1276,7 +1226,7 @@ Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
   DetachedInstance detached;
   detached.root_id = instance_id;
   detached.images.reserve(family.size());
-  for (ProcessInstance* m : family) {
+  for (const ProcessInstance* m : family) {
     detached.images.push_back(EncodeInstanceImage(*m));
   }
   // Journal + flush the full image *before* releasing the slots: if the
@@ -1286,7 +1236,7 @@ Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
                                   instance_id, "", "", false,
                                   detached.EncodePayload()));
   EXO_RETURN_NOT_OK(FlushJournal());
-  for (ProcessInstance* m : family) ReleaseSlot(m);
+  for (const ProcessInstance* m : family) ReleaseSlot(&instances_[m->index]);
   ready_queue_.erase(
       std::remove_if(ready_queue_.begin(), ready_queue_.end(),
                      [this](const std::pair<uint32_t, uint32_t>& e) {
@@ -1355,22 +1305,17 @@ Status Engine::BuildFromImage(const InstanceImage& image,
       const wf::ProcessDefinition* def,
       definitions_->FindProcessVersion(image.process_name, image.version));
   inst->id = image.id;
-  inst->definition = def;
-  inst->plan = &def->plan();
   inst->parent_instance = image.parent_instance;
   inst->parent_activity = image.parent_activity;
-  EXO_ASSIGN_OR_RETURN(inst->input, NewContainer(def->input_type()));
-  EXO_RETURN_NOT_OK(inst->input.Deserialize(image.input_image));
-  EXO_ASSIGN_OR_RETURN(inst->output, NewContainer(def->output_type()));
-  EXO_RETURN_NOT_OK(inst->output.Deserialize(image.output_image));
+  EXO_RETURN_NOT_OK(BuildInstance(def, nullptr, inst, image.input_image,
+                                  image.output_image));
   if (image.activities.size() != inst->plan->activity_count()) {
     return Status::Corruption("instance image for " + image.id + " has " +
                               std::to_string(image.activities.size()) +
                               " activities; definition has " +
                               std::to_string(inst->plan->activity_count()));
   }
-  // Arena spin-up, then overlay the imaged state on the fresh runtimes.
-  EXO_RETURN_NOT_OK(InitializeRuntimes(inst));
+  // Overlay the imaged state on the fresh runtimes.
   for (uint32_t aid = 0; aid < inst->activity_count(); ++aid) {
     const InstanceImage::ActivityImage& a = image.activities[aid];
     const wf::NavigationPlan::ActivityInfo& info = inst->plan->activity(aid);
@@ -1467,13 +1412,10 @@ Status Engine::Checkpoint() {
   size_t live = 0;
   for (const ProcessInstance& inst : instances_) {
     if (inst.detached) continue;
-    const ProcessInstance* root = &inst;
-    while (root->is_child()) {
-      auto it = instance_index_.find(root->parent_instance);
-      if (it == instance_index_.end()) break;
-      root = &instances_[it->second];
+    Result<uint32_t> root = RootIndex(&inst);
+    if (root.ok() && instances_[*root].finished && !instances_[*root].failed) {
+      continue;
     }
-    if (root->finished && !root->failed) continue;
     payload += EscapeQuoted(EncodeInstanceImage(inst));
     payload += '\n';
     ++live;
@@ -1586,14 +1528,9 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       }
       ProcessInstance inst;
       inst.id = r.instance;
-      inst.definition = def;
-      inst.plan = &def->plan();
       inst.parent_activity = r.activity;
       inst.parent_instance = r.to;
-      EXO_ASSIGN_OR_RETURN(inst.input, NewContainer(def->input_type()));
-      EXO_RETURN_NOT_OK(inst.input.Deserialize(r.extra));
-      EXO_ASSIGN_OR_RETURN(inst.output, NewContainer(def->output_type()));
-      EXO_RETURN_NOT_OK(InitializeRuntimes(&inst));
+      EXO_RETURN_NOT_OK(BuildInstance(def, nullptr, &inst, r.extra));
       CommitInstance(std::move(inst));
       ++stats_.instances_started;
       NoteRecoveredId(r.instance);

@@ -125,8 +125,8 @@ struct EngineOptions {
   size_t max_audit_events = 0;
 
   /// Prepended to every generated instance id ("wf-N" becomes
-  /// "<prefix>wf-N"). Fleets with work stealing enabled give each engine a
-  /// distinct prefix so an instance id stays unique after migration.
+  /// "<prefix>wf-N"). A fleet gives each engine a distinct prefix so an
+  /// instance id stays unique after migration.
   std::string instance_id_prefix;
 
   /// Committed journal records between automatic snapshot checkpoints
@@ -168,9 +168,6 @@ struct EngineStats {
   /// built against it (the production benchmark) keep compiling.
   uint64_t step_program_dispatches = 0;
   uint64_t steal_slice_shrinks = 0;  ///< adaptive slice halvings (fleet)
-  /// Steal-victim selections where the cost-aware score picked a
-  /// different victim than plain deepest-queue would have (fleet).
-  uint64_t steal_victim_cost_picks = 0;
   uint64_t snapshots_written = 0;    ///< checkpoint records appended
   uint64_t records_truncated = 0;    ///< journal records dropped behind snapshots
   uint64_t recovery_records_replayed = 0; ///< records Recover() streamed
@@ -312,10 +309,12 @@ class Engine {
 
   // --- instance migration (work stealing) ------------------------------------
 
-  /// Picks a top-level instance suitable for Detach: the tail-most ready
-  /// family that is not the one at the head of the queue, so the victim
-  /// always keeps work. NotFound when the queue holds fewer than two
-  /// distinct families.
+  /// Picks a top-level instance suitable for Detach: among the families
+  /// (a root plus its block children) with ready work, other than the one
+  /// at the head of the queue, the smallest by instance count — ties go to
+  /// the one nearest the tail — so the victim always keeps work.
+  /// Suspended, finished, quarantined and detached families are never
+  /// picked. NotFound when no such family is queued.
   Result<std::string> PickDetachable() const;
 
   /// Detaches a top-level instance and its block-child subtree for
@@ -348,14 +347,9 @@ class Engine {
   /// worker loop owns the slice itself).
   void NoteStealSliceShrink() { ++stats_.steal_slice_shrinks; }
 
-  /// Counts a cost-aware victim selection that diverged from plain
-  /// deepest-queue (stats only; the fleet's worker loop picks victims).
-  void NoteStealCostPick() { ++stats_.steal_victim_cost_picks; }
-
   /// EWMA of observed automatic-program execution cost in microseconds —
-  /// the per-engine activity-cost signal the fleet's cost-aware steal
-  /// victim picking multiplies into queue depth. 0 until the first
-  /// sampled execution.
+  /// the per-engine activity-cost signal the fleet's steal victim picking
+  /// multiplies into queue depth. 0 until the first sampled execution.
   double mean_activity_cost_micros() const { return cost_ewma_micros_; }
 
   /// Registers a fleet-owned spin-up arena for `def`. Shared arenas are
@@ -416,20 +410,24 @@ class Engine {
   std::string NewInstanceId();
   Result<ProcessInstance*> MutableInstance(const std::string& id);
 
-  /// Copy-from-prototype container construction: one registry walk per
-  /// type name per engine, then O(fields) copies.
-  Result<data::Container> NewContainer(const std::string& type_name);
-
   /// Creates (and journals) a new instance; readies its start activities.
   Result<std::string> CreateInstance(const wf::ProcessDefinition* definition,
                                      const data::Container* input,
                                      const std::string& parent_instance,
                                      const std::string& parent_activity);
 
-  /// Allocates runtime state for every activity (one copy of the arena's
-  /// hot block plus a default-constructed cold sidecar) and applies
-  /// process-input data connectors.
-  Status InitializeRuntimes(ProcessInstance* inst);
+  /// The one instance builder: a fresh start (CreateInstance), replay of
+  /// kInstanceStart and a migration or snapshot image (BuildFromImage)
+  /// all come through here. Spins `inst` up from `def`'s arena: process
+  /// input/output copied from its prototypes (`input` replaces the input;
+  /// non-empty images are deserialized over them), one copy of the hot
+  /// block, a default-constructed cold sidecar, then the process-input
+  /// data connectors. The caller sets the id and parent link; no engine
+  /// state is touched.
+  Status BuildInstance(const wf::ProcessDefinition* def,
+                       const data::Container* input, ProcessInstance* inst,
+                       const std::string& input_image = "",
+                       const std::string& output_image = "");
 
   /// Cold containers start default-constructed; these materialize them
   /// from the arena's prototypes on first touch. No-ops on
@@ -440,9 +438,17 @@ class Engine {
   /// Lazily built per-definition spin-up image.
   Result<const InstanceArena*> ArenaFor(const wf::ProcessDefinition* def);
 
-  /// Root + block-child subtree, parents before children.
-  Status CollectFamily(ProcessInstance* root,
-                       std::vector<ProcessInstance*>* family);
+  /// Index of the top-level instance owning `inst` (itself when
+  /// top-level): the one walk up the block tree. NotFound when a parent
+  /// link does not resolve.
+  Result<uint32_t> RootIndex(const ProcessInstance* inst) const;
+
+  /// Appends `root` and its block-child subtree to `family`, parents
+  /// before children: the one walk down a family, for PickDetachable's
+  /// sizes and Detach's images. NotFound when a child link does not
+  /// resolve.
+  Status CollectFamily(const ProcessInstance* root,
+                       std::vector<const ProcessInstance*>* family) const;
 
   /// Decode + validate + materialize a detached family; shared by Adopt
   /// and kInstanceAdopted replay (journaling is the caller's business).
@@ -472,6 +478,11 @@ class Engine {
   /// site-specific message when no organization is attached.
   Status PostWorkItem(ProcessInstance* inst, uint32_t aid,
                       const char* no_worklists_error);
+
+  /// Withdraws activity `aid`'s posted work item, if any: cancels it on
+  /// the worklists, audits the withdrawal when `audited`, and forgets it.
+  void WithdrawWorkItem(ProcessInstance* inst, uint32_t aid,
+                        bool audited = true);
 
   /// Drains the ready queue (the body of Run(), sans journal flush);
   /// `limit > 0` bounds the number of entries popped.
@@ -543,6 +554,12 @@ class Engine {
   Status ApplyCancel(ProcessInstance* inst);
   Status ApplyFailed(ProcessInstance* inst, const std::string& reason);
 
+  /// The settle sweep ApplyCancel and ApplyFailed share: running block
+  /// children first (cancelled, or failed with `reason`), then every
+  /// unsettled activity dead in name order, its work item withdrawn.
+  Status SettleSweep(ProcessInstance* inst, bool cancel,
+                     const std::string& reason);
+
   /// Checkpoint() when snapshot_interval committed records have
   /// accumulated since the last snapshot; no-op otherwise.
   Status MaybeCheckpoint();
@@ -576,7 +593,6 @@ class Engine {
 
   std::deque<std::pair<uint32_t, uint32_t>> ready_queue_;
 
-  std::unordered_map<std::string, data::Container> container_protos_;
   std::unordered_map<const wf::ProcessDefinition*, InstanceArena> arenas_;
   /// Fleet-shared arenas (ShareArena), checked before the private cache.
   std::unordered_map<const wf::ProcessDefinition*, const InstanceArena*>

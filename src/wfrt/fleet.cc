@@ -51,10 +51,8 @@ EngineFleet::EngineFleet(const wf::DefinitionStore* definitions,
   engines_.reserve(static_cast<size_t>(engines));
   for (int i = 0; i < engines; ++i) {
     EngineOptions eo = options;
-    if (fleet_.work_stealing) {
-      eo.instance_id_prefix =
-          options.instance_id_prefix + "e" + std::to_string(i) + ":";
-    }
+    eo.instance_id_prefix =
+        options.instance_id_prefix + "e" + std::to_string(i) + ":";
     engines_.push_back(std::make_unique<Engine>(definitions, programs, eo));
   }
 }
@@ -227,15 +225,7 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
 
   BatchResult result;
   result.errors.assign(engines_.size(), "");
-
-  // Baseline stats, so a reused fleet reports only this batch's deltas in
-  // the instance sweep below (stats aggregation stays cumulative, as
-  // before).
-  if (fleet_.work_stealing && engines_.size() > 1) {
-    RunStealing(assigned, &result);
-  } else {
-    RunStatic(assigned, &result);
-  }
+  RunStealing(assigned, &result);
 
   for (size_t e = 0; e < engines_.size(); ++e) {
     const Engine& engine = *engines_[e];
@@ -260,7 +250,6 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
     result.aggregate.vm_condition_evals += s.vm_condition_evals;
     result.aggregate.tree_condition_evals += s.tree_condition_evals;
     result.aggregate.steal_slice_shrinks += s.steal_slice_shrinks;
-    result.aggregate.steal_victim_cost_picks += s.steal_victim_cost_picks;
     result.aggregate.snapshots_written += s.snapshots_written;
     result.aggregate.records_truncated += s.records_truncated;
     result.aggregate.recovery_records_replayed += s.recovery_records_replayed;
@@ -289,31 +278,6 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
     }
   }
   return result;
-}
-
-void EngineFleet::RunStatic(
-    const std::vector<std::vector<const BatchSeed*>>& assigned,
-    BatchResult* result) {
-  std::vector<std::thread> workers;
-  workers.reserve(engines_.size());
-  for (size_t e = 0; e < engines_.size(); ++e) {
-    workers.emplace_back([this, e, &assigned, result] {
-      Engine* engine = engines_[e].get();
-      for (const BatchSeed* seed : assigned[e]) {
-        auto id = engine->StartProcess(seed->process, seed->input);
-        if (!id.ok()) {
-          result->errors[e] = id.status().ToString();
-          return;
-        }
-        Status st = engine->Run();
-        if (!st.ok()) {
-          result->errors[e] = st.ToString();
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
 }
 
 void EngineFleet::RunStealing(
@@ -394,15 +358,13 @@ void EngineFleet::RunStealing(
           result->errors[e] = st.ToString();
           break;
         }
-        if (fleet_.adaptive_steal_slice) {
-          if (!co.requests[e].empty()) {
-            if (cur_slice > 1) {
-              cur_slice /= 2;
-              engine->NoteStealSliceShrink();
-            }
-          } else if (cur_slice < fleet_.steal_slice) {
-            cur_slice = std::min(fleet_.steal_slice, cur_slice * 2);
+        if (!co.requests[e].empty()) {
+          if (cur_slice > 1) {
+            cur_slice /= 2;
+            engine->NoteStealSliceShrink();
           }
+        } else if (cur_slice < fleet_.steal_slice) {
+          cur_slice = std::min(fleet_.steal_slice, cur_slice * 2);
         }
         serve_request();
         co.depth[e] = engine->ready_depth();
@@ -419,34 +381,22 @@ void EngineFleet::RunStealing(
             serve_request();  // declines: our queue is empty
             continue;
           }
-          // Victim hunt. The plain pick is the deepest queue; with
-          // cost_aware_victims the pick maximizes depth x (mean activity
-          // cost + 1), so a short queue of expensive activities can
-          // outrank a deeper queue of trivial ones. With no cost signal
-          // yet (all EWMAs zero) the score degenerates to plain depth.
+          // Victim hunt: the pick maximizes depth x (mean activity cost
+          // + 1), so a short queue of expensive activities can outrank a
+          // deeper queue of trivial ones. With no cost signal yet (all
+          // EWMAs zero) the score degenerates to plain depth.
           int victim = -1;
-          int deepest = -1;
-          size_t best_depth = 0;
           double best_score = 0.0;
           for (size_t v = 0; v < n; ++v) {
-            if (v == e || !co.active[v] || co.barred[v]) continue;
-            if (co.depth[v] > best_depth) {
-              best_depth = co.depth[v];
-              deepest = static_cast<int>(v);
+            if (v == e || !co.active[v] || co.barred[v] || co.depth[v] == 0) {
+              continue;
             }
-            if (fleet_.cost_aware_victims && co.depth[v] > 0) {
-              double score =
-                  static_cast<double>(co.depth[v]) * (co.cost[v] + 1.0);
-              if (score > best_score) {
-                best_score = score;
-                victim = static_cast<int>(v);
-              }
+            double score =
+                static_cast<double>(co.depth[v]) * (co.cost[v] + 1.0);
+            if (score > best_score) {
+              best_score = score;
+              victim = static_cast<int>(v);
             }
-          }
-          if (!fleet_.cost_aware_victims) {
-            victim = deepest;
-          } else if (victim >= 0 && victim != deepest) {
-            engine->NoteStealCostPick();
           }
           if (victim >= 0) {
             co.requests[static_cast<size_t>(victim)].push_back(self);

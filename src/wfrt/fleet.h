@@ -9,17 +9,14 @@
 // the FlowMark deployment model in miniature: navigation is per-server,
 // the contended resources are the data sites.
 //
-// Two batch schedulers:
-//
-//   - static: seeds are assigned up front by current queue depth (a fresh
-//     fleet degenerates to round-robin) and each worker drives its own
-//     share to completion, never touching another engine;
-//   - work stealing (default): workers run their engines in bounded
-//     slices, publish their ready depth to a coordinator, and when idle
-//     steal a whole instance *family* from the most-loaded peer via
-//     Engine::Detach/Adopt. All cross-thread traffic flows through one
-//     mutex-protected coordinator; engines themselves stay
-//     single-threaded.
+// One batch scheduler, work stealing: seeds are assigned up front by
+// current queue depth (a fresh fleet degenerates to round-robin); workers
+// then run their engines in bounded slices, publish their ready depth to
+// a coordinator, and when idle steal a whole instance *family* from the
+// most-loaded peer via Engine::Detach/Adopt. All cross-thread traffic
+// flows through one mutex-protected coordinator; engines themselves stay
+// single-threaded. Every engine gets a distinct instance-id prefix
+// ("e<i>:") so ids stay unique across migration.
 
 #ifndef EXOTICA_WFRT_FLEET_H_
 #define EXOTICA_WFRT_FLEET_H_
@@ -38,31 +35,13 @@ namespace exotica::wfrt {
 
 /// \brief Fleet-level scheduling knobs.
 struct FleetOptions {
-  /// Idle workers steal instance families from loaded peers. Gives every
-  /// engine a distinct instance-id prefix ("e<i>:") so ids stay unique
-  /// across migration.
-  bool work_stealing = true;
-
   /// Ready-queue pops a worker executes between steal-coordination
   /// checks. Smaller = lower steal latency, more coordination overhead.
+  /// The slice adapts to thief pressure: a worker that finds thieves
+  /// queued at its slice boundary halves its slice (floor 1), counted in
+  /// EngineStats::steal_slice_shrinks, and doubles it back toward
+  /// steal_slice at quiet boundaries.
   int steal_slice = 32;
-
-  /// Adapt the slice to thief pressure: a worker that finds thieves
-  /// queued at its slice boundary halves its slice (floor 1) so the next
-  /// batch of requests is served sooner, and doubles it back toward
-  /// steal_slice at quiet boundaries. Halvings are counted in
-  /// EngineStats::steal_slice_shrinks.
-  bool adaptive_steal_slice = true;
-
-  /// Weight steal victims by outstanding *work*, not just queue depth:
-  /// each worker publishes its engine's observed mean activity cost (an
-  /// EWMA sampled by the engine) alongside its ready depth, and thieves
-  /// pick the victim maximizing depth x (mean cost + 1). A queue of 10
-  /// slow activities then outranks a queue of 12 trivial ones. Picks that
-  /// diverge from the plain deepest-queue choice are counted in
-  /// EngineStats::steal_victim_cost_picks. Off = exact legacy
-  /// deepest-queue selection.
-  bool cost_aware_victims = true;
 };
 
 /// \brief A set of independent engines driven by worker threads.
@@ -76,7 +55,6 @@ class EngineFleet {
 
   int size() const { return static_cast<int>(engines_.size()); }
   Engine* engine(int i) { return engines_[static_cast<size_t>(i)].get(); }
-  const FleetOptions& fleet_options() const { return fleet_; }
 
   /// \brief One instance that did not finish cleanly in a batch.
   struct InstanceError {
@@ -85,6 +63,12 @@ class EngineFleet {
     std::string error;   ///< quarantine reason / stall description
   };
 
+  /// \brief What a fleet has done, summed over every engine's whole
+  /// lifetime — not just the batch that returned it. On a reused fleet,
+  /// `instances_finished` and `aggregate` count every earlier batch too,
+  /// and `failed_instances` still lists instances quarantined (or stalled)
+  /// in them; a caller that wants one batch's figures takes per-engine
+  /// EngineStats deltas around the RunBatch call.
   struct BatchResult {
     uint64_t instances_finished = 0;
     EngineStats aggregate;
@@ -115,8 +99,8 @@ class EngineFleet {
 
   /// Starts `count` instances of `process_name`, spread over the engines
   /// by current queue depth, and drives them to completion in parallel
-  /// (one thread per engine, work stealing per FleetOptions). Instances
-  /// must not stall on manual work.
+  /// (one thread per engine, work stealing). Instances must not stall on
+  /// manual work.
   Result<BatchResult> RunBatch(const std::string& process_name, int count,
                                const data::Container* input = nullptr);
 
@@ -177,8 +161,8 @@ class EngineFleet {
   /// persist across batches and are only built once per definition.
   Status PrepareArenas(const std::vector<BatchSeed>& seeds);
 
-  void RunStatic(const std::vector<std::vector<const BatchSeed*>>& assigned,
-                 BatchResult* result);
+  /// The scheduler: one worker thread per engine starts that engine's
+  /// seeds, then drives it in slices and steals when idle.
   void RunStealing(const std::vector<std::vector<const BatchSeed*>>& assigned,
                    BatchResult* result);
 

@@ -182,18 +182,94 @@ TEST(FleetTest, RoundRobinDistribution) {
   b.Program("A", "ok");
   ASSERT_TRUE(b.Register().ok());
 
-  // Static scheduling (stealing off) so per-engine counts are exact.
-  wfrt::FleetOptions fo;
-  fo.work_stealing = false;
-  wfrt::EngineFleet fleet(&store, &programs, 3, {}, fo);
+  wfrt::EngineFleet fleet(&store, &programs, 3);
   auto result = fleet.RunBatch("p", 10);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->ok());
   EXPECT_EQ(result->instances_finished, 10u);
-  // 10 over 3 engines: 4 + 3 + 3.
-  EXPECT_EQ(fleet.engine(0)->stats().instances_finished, 4u);
-  EXPECT_EQ(fleet.engine(1)->stats().instances_finished, 3u);
-  EXPECT_EQ(fleet.engine(2)->stats().instances_finished, 3u);
+  // 10 over 3 engines: 4 + 3 + 3. Every worker starts its whole share
+  // before it serves a steal, so the starts are exact even though the
+  // finishes may move with stolen families.
+  EXPECT_EQ(fleet.engine(0)->stats().instances_started, 4u);
+  EXPECT_EQ(fleet.engine(1)->stats().instances_started, 3u);
+  EXPECT_EQ(fleet.engine(2)->stats().instances_started, 3u);
+}
+
+TEST(FleetTest, OneEngineFleetRunsTheStealingScheduler) {
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(test::DeclareDefaultProgram(&store, "ok").ok());
+  ASSERT_TRUE(test::BindConstRc(&programs, "ok", 0).ok());
+  wf::ProcessBuilder b(&store, "p");
+  b.Program("A", "ok").Program("B", "ok");
+  b.Connect("A", "B", "RC = 0");
+  ASSERT_TRUE(b.Register().ok());
+
+  wfrt::EngineFleet fleet(&store, &programs, 1);
+  auto result = fleet.RunBatch("p", 5);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->ok());
+  EXPECT_EQ(result->instances_finished, 5u);
+  // No peer to steal from, and none to ask.
+  EXPECT_EQ(result->aggregate.instances_stolen, 0u);
+  EXPECT_EQ(result->aggregate.instances_detached, 0u);
+  EXPECT_EQ(result->aggregate.steals_failed, 0u);
+  // The engine carries the fleet's id prefix like any other.
+  std::vector<std::string> ids;
+  for (int i = 1; i <= 5; ++i) ids.push_back("e0:wf-" + std::to_string(i));
+  EXPECT_EQ(fleet.engine(0)->instance_order(), ids);
+
+  // A second batch continues the numbering.
+  auto again = fleet.RunBatch("p", 3);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->ok());
+  EXPECT_EQ(again->instances_finished, 8u);
+  EXPECT_TRUE(fleet.engine(0)->IsFinished("e0:wf-8"));
+
+  // An empty batch finds nothing to run and returns.
+  auto empty = fleet.RunBatch(std::vector<wfrt::EngineFleet::BatchSeed>{});
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->ok());
+  EXPECT_EQ(empty->instances_finished, 8u);
+  EXPECT_EQ(fleet.engine(0)->instance_order().size(), 8u);
+}
+
+TEST(FleetTest, BatchResultIsCumulativeOverTheFleetLifetime) {
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(test::DeclareDefaultProgram(&store, "ok").ok());
+  ASSERT_TRUE(test::BindConstRc(&programs, "ok", 0).ok());
+  ASSERT_TRUE(test::DeclareDefaultProgram(&store, "crashy").ok());
+  ASSERT_TRUE(test::BindCrashy(&programs, "crashy", 1 << 20).ok());
+  for (auto [name, program] : {std::pair{"good", "ok"}, {"bad", "crashy"}}) {
+    wf::ProcessBuilder b(&store, name);
+    b.Program("A", program);
+    ASSERT_TRUE(b.Register().ok());
+  }
+
+  // The first crash quarantines: batch 1 loses its one bad instance.
+  wfrt::EngineOptions options;
+  options.retry.max_attempts = 1;
+  wfrt::EngineFleet fleet(&store, &programs, 2, options);
+  auto first = fleet.RunBatch(std::vector<wfrt::EngineFleet::BatchSeed>{
+      {"bad", nullptr}, {"good", nullptr}, {"good", nullptr}});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->ok());
+  EXPECT_EQ(first->instances_finished, 2u);
+  ASSERT_EQ(first->failed_instances.size(), 1u);
+  const std::string poisoned = first->failed_instances[0].id;
+
+  // Batch 2 is clean, yet its result still carries batch 1: the
+  // quarantined instance, and the finishes of both batches.
+  auto second = fleet.RunBatch("good", 2);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(second->ok());
+  ASSERT_EQ(second->failed_instances.size(), 1u);
+  EXPECT_EQ(second->failed_instances[0].id, poisoned);
+  EXPECT_EQ(second->instances_finished, 4u);
+  EXPECT_EQ(second->aggregate.instances_finished, 4u);
+  EXPECT_EQ(second->aggregate.instances_failed, 1u);
+  for (const std::string& e : second->errors) EXPECT_TRUE(e.empty()) << e;
 }
 
 TEST(FleetTest, QuarantinedInstancesAreReportedAndDoNotMaskOthers) {

@@ -278,6 +278,58 @@ TEST(StealTest, BlockFamilyMigratesTogether) {
   EXPECT_EQ(victim.unfinished_top_level(), 0u);
 }
 
+// PickDetachable's policy: never the family at the head of the queue,
+// and among the rest the smallest by instance count, even when a larger
+// family sits nearer the tail.
+TEST(StealTest, PickDetachablePrefersTheSmallestNonHeadFamily) {
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(DeclareDefaultProgram(&store, "ok").ok());
+  ASSERT_TRUE(BindConstRc(&programs, "ok", 0).ok());
+  RegisterChain(&store, "chain", 2, "ok");
+  {
+    wf::ProcessBuilder b(&store, "outer");
+    b.Block("Sub", "chain");
+    ASSERT_TRUE(b.Register().ok());
+  }
+
+  // A two-instance block family, built on a helper engine: once its
+  // block has spawned the child, one family is queued there, and a
+  // single family is never offered.
+  wfrt::Engine helper(&store, &programs, Prefixed("b:"));
+  auto outer = helper.StartProcess("outer");
+  ASSERT_TRUE(outer.ok());
+  bool quiescent = false;
+  ASSERT_TRUE(helper.RunSlice(1, &quiescent).ok());
+  ASSERT_EQ(helper.instance_order().size(), 2u);
+  ASSERT_EQ(helper.ready_depth(), 1u);
+  EXPECT_TRUE(helper.PickDetachable().status().IsNotFound());
+  auto block_family = helper.Detach(*outer);
+  ASSERT_TRUE(block_family.ok()) << block_family.status().ToString();
+  ASSERT_EQ(block_family->images.size(), 2u);
+
+  wfrt::Engine engine(&store, &programs, Prefixed("a:"));
+  EXPECT_TRUE(engine.PickDetachable().status().IsNotFound());  // empty
+  auto head = engine.StartProcess("chain");
+  ASSERT_TRUE(head.ok());
+  EXPECT_TRUE(engine.PickDetachable().status().IsNotFound());  // head only
+  auto single = engine.StartProcess("chain");
+  ASSERT_TRUE(single.ok());
+  // Adoption queues the block child's ready activity at the tail:
+  // [head, single, block family].
+  ASSERT_TRUE(engine.Adopt(*block_family).ok());
+  ASSERT_EQ(engine.ready_depth(), 3u);
+
+  auto pick = engine.PickDetachable();
+  ASSERT_TRUE(pick.ok()) << pick.status().ToString();
+  EXPECT_EQ(*pick, *single);
+  // With the one-instance family gone, the block family is what is left.
+  ASSERT_TRUE(engine.Detach(*single).ok());
+  pick = engine.PickDetachable();
+  ASSERT_TRUE(pick.ok()) << pick.status().ToString();
+  EXPECT_EQ(*pick, *outer);
+}
+
 // Rewrites the `nth` line of `image` that starts with `tag` ("A" for an
 // activity line): `field < 0` drops the line, otherwise tab field `field`
 // becomes `value`.
@@ -583,7 +635,6 @@ TEST(FleetStealTest, SkewedSleepBatchBalancesAcrossEngines) {
   RegisterChain(&store, "light", 2, "light_step");
 
   wfrt::FleetOptions fo;
-  fo.work_stealing = true;
   fo.steal_slice = 2;  // low steal latency against multi-ms activities
   wfrt::EngineFleet fleet(&store, &programs, 4, {}, fo);
 
@@ -619,9 +670,7 @@ TEST(FleetStealTest, AdaptiveSliceShrinksUnderThiefPressure) {
   RegisterChain(&store, "short", 2, "quick_step");
 
   wfrt::FleetOptions fo;
-  fo.work_stealing = true;
   fo.steal_slice = 32;  // slices outlive the light engines' whole share
-  fo.adaptive_steal_slice = true;
   wfrt::EngineFleet fleet(&store, &programs, 4, {}, fo);
 
   std::vector<wfrt::EngineFleet::BatchSeed> seeds;
@@ -637,12 +686,11 @@ TEST(FleetStealTest, AdaptiveSliceShrinksUnderThiefPressure) {
 
 TEST(FleetStealTest, CostAwareVictimsDrainSkewedBatch) {
   // Two loaded engines: one with many light seeds (deep queue, cheap
-  // work), one with few heavy seeds (shallow queue, expensive work). With
-  // cost-aware victim picking the thieves weigh queue depth by the
-  // victims' published mean activity cost, and the batch must still
-  // drain with stealing intact. The cost EWMA is thread-local to each
-  // engine and published only under the coordinator lock, which is what
-  // TSan checks here.
+  // work), one with few heavy seeds (shallow queue, expensive work). The
+  // thieves weigh queue depth by the victims' published mean activity
+  // cost, and the batch must still drain with stealing intact. The cost
+  // EWMA is thread-local to each engine and published only under the
+  // coordinator lock, which is what TSan checks here.
   wf::DefinitionStore store;
   wfrt::ProgramRegistry programs;
   ASSERT_TRUE(DeclareDefaultProgram(&store, "heavy_step").ok());
@@ -652,52 +700,22 @@ TEST(FleetStealTest, CostAwareVictimsDrainSkewedBatch) {
   RegisterChain(&store, "heavy", 8, "heavy_step");
   RegisterChain(&store, "light", 2, "light_step");
 
-  for (bool cost_aware : {true, false}) {
-    SCOPED_TRACE(cost_aware ? "cost-aware" : "plain depth");
-    wfrt::FleetOptions fo;
-    fo.work_stealing = true;
-    fo.steal_slice = 1;
-    fo.cost_aware_victims = cost_aware;
-    wfrt::EngineFleet fleet(&store, &programs, 4, {}, fo);
-
-    // [heavy, heavy, light x 14]: greedy assignment lands both heavies
-    // on engines 0 and 1, the lights spread over all four.
-    std::vector<wfrt::EngineFleet::BatchSeed> seeds;
-    seeds.push_back({"heavy", nullptr});
-    seeds.push_back({"heavy", nullptr});
-    for (int i = 0; i < 14; ++i) seeds.push_back({"light", nullptr});
-
-    auto result = fleet.RunBatch(seeds);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->ok());
-    EXPECT_EQ(result->instances_finished, 16u);
-    EXPECT_GE(result->aggregate.instances_stolen, 1u);
-    // The stat only counts picks diverging from the plain-depth argmax,
-    // so with the toggle off it must stay zero.
-    if (!cost_aware) {
-      EXPECT_EQ(result->aggregate.steal_victim_cost_picks, 0u);
-    }
-  }
-}
-
-TEST(FleetStealTest, DisabledStealingKeepsEnginesIndependent) {
-  wf::DefinitionStore store;
-  wfrt::ProgramRegistry programs;
-  ASSERT_TRUE(DeclareDefaultProgram(&store, "ok").ok());
-  ASSERT_TRUE(BindConstRc(&programs, "ok", 0).ok());
-  RegisterChain(&store, "chain", 3, "ok");
-
   wfrt::FleetOptions fo;
-  fo.work_stealing = false;
-  wfrt::EngineFleet fleet(&store, &programs, 3, {}, fo);
-  auto result = fleet.RunBatch("chain", 9);
-  ASSERT_TRUE(result.ok());
+  fo.steal_slice = 1;
+  wfrt::EngineFleet fleet(&store, &programs, 4, {}, fo);
+
+  // [heavy, heavy, light x 14]: greedy assignment lands both heavies on
+  // engines 0 and 1, the lights spread over all four.
+  std::vector<wfrt::EngineFleet::BatchSeed> seeds;
+  seeds.push_back({"heavy", nullptr});
+  seeds.push_back({"heavy", nullptr});
+  for (int i = 0; i < 14; ++i) seeds.push_back({"light", nullptr});
+
+  auto result = fleet.RunBatch(seeds);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ok());
-  EXPECT_EQ(result->instances_finished, 9u);
-  EXPECT_EQ(result->aggregate.instances_stolen, 0u);
-  EXPECT_EQ(result->aggregate.instances_detached, 0u);
-  // Without stealing, ids keep the bare engine-local namespace.
-  EXPECT_TRUE(fleet.engine(0)->FindInstance("wf-1").ok());
+  EXPECT_EQ(result->instances_finished, 16u);
+  EXPECT_GE(result->aggregate.instances_stolen, 1u);
 }
 
 TEST(FleetStealTest, HeterogeneousBatchValidatesEverySeed) {

@@ -5,7 +5,6 @@
 # Usage: tools/run_benches.sh [output.json]
 #   BUILD_DIR=build-release  tools/run_benches.sh   # override build dir
 #   FAULTS_OUT=faults.json   tools/run_benches.sh   # override faults file
-#   FLEET_OUT=fleet.json     tools/run_benches.sh   # override fleet file
 #   RECOVERY_OUT=rec.json    tools/run_benches.sh   # override recovery file
 #
 # The output has one top-level key per benchmark binary, each holding the
@@ -13,10 +12,7 @@
 # injection benchmarks (bench_recovery under FaultPlan/FaultyJournal) are
 # additionally emitted on their own into BENCH_faults.json so the
 # robustness numbers can be tracked separately from the navigation ones.
-# The scheduler head-to-head (bench_fleet's SkewedBatch, static vs
-# stealing) is likewise emitted into BENCH_fleet.json, with aggregate
-# repetitions so the speedup ratio is robust to scheduling noise. The
-# snapshot-recovery head-to-heads (bench_recovery's RecoverAfterHistory
+# The snapshot-recovery head-to-heads (bench_recovery's RecoverAfterHistory
 # with/without checkpoints and FleetRecoverSharded 1-vs-4 shards) land in
 # BENCH_recovery.json; note the sharded speedup tracks the machine's core
 # count (a 1-core box reports ~1.0).
@@ -30,7 +26,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_nav.json}"
 FAULTS_OUT="${FAULTS_OUT:-BENCH_faults.json}"
-FLEET_OUT="${FLEET_OUT:-BENCH_fleet.json}"
 RECOVERY_OUT="${RECOVERY_OUT:-BENCH_recovery.json}"
 BUILD_DIR="${BUILD_DIR:-build}"
 BENCHES=(bench_navigation bench_fleet bench_recovery)
@@ -57,12 +52,6 @@ echo "== bench_recovery (snapshot + sharded recovery) ==" >&2
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
   > "$tmpdir/bench_recovery_snap.json"
 
-echo "== bench_fleet (scheduler head-to-head) ==" >&2
-"$BUILD_DIR/bench/bench_fleet" --benchmark_format=json \
-  --benchmark_filter='SkewedBatch' \
-  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-  > "$tmpdir/bench_fleet_sched.json"
-
 python3 - "$OUT" "$tmpdir" "${BENCHES[@]}" <<'EOF'
 import json, sys
 out_path, tmpdir, benches = sys.argv[1], sys.argv[2], sys.argv[3:]
@@ -85,36 +74,6 @@ with open(out_path, "w") as f:
     json.dump(merged, f, indent=1)
     f.write("\n")
 print(f"wrote {out_path}")
-EOF
-
-python3 - "$FLEET_OUT" "$tmpdir" <<'EOF'
-import json, sys
-out_path, tmpdir = sys.argv[1], sys.argv[2]
-with open(f"{tmpdir}/bench_fleet_sched.json") as f:
-    sched = json.load(f)
-
-# Headline speedup from the median aggregates: static vs stealing on the
-# skewed batch.
-medians = {}
-for b in sched.get("benchmarks", []):
-    if b.get("aggregate_name") == "median":
-        medians[b["run_name"]] = b
-
-summary = {}
-def speedup(name, base_key, test_key):
-    base, test = medians.get(base_key), medians.get(test_key)
-    if base and test:
-        summary[name] = round(base["real_time"] / test["real_time"], 3)
-
-speedup("skewed_batch_speedup_stealing",
-        "BM_FleetSkewedBatch/stealing:0/real_time",
-        "BM_FleetSkewedBatch/stealing:1/real_time")
-
-merged = {"bench_fleet_scheduler": sched, "summary": summary}
-with open(out_path, "w") as f:
-    json.dump(merged, f, indent=1)
-    f.write("\n")
-print(f"wrote {out_path}: {summary}")
 EOF
 
 python3 - "$RECOVERY_OUT" "$tmpdir" <<'EOF'
