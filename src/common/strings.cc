@@ -87,30 +87,41 @@ std::string StrFormat(const char* fmt, ...) {
 std::string EscapeQuoted(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
+  AppendEscaped(s, &out);
   return out;
+}
+
+void AppendEscaped(std::string_view s, std::string* out) {
+  // Copies unescaped runs in bulk; only the five special characters are
+  // written one by one.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    char escaped;
+    switch (s[i]) {
+      case '\\': escaped = '\\'; break;
+      case '"': escaped = '"'; break;
+      case '\n': escaped = 'n'; break;
+      case '\t': escaped = 't'; break;
+      case '\r': escaped = 'r'; break;
+      default: continue;
+    }
+    out->append(s.data() + run, i - run);
+    out->push_back('\\');
+    out->push_back(escaped);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
 }
 
 bool UnescapeQuoted(std::string_view s, std::string* out) {
   out->clear();
   out->reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    char c = s[i];
-    if (c != '\\') {
-      out->push_back(c);
-      continue;
-    }
-    if (++i >= s.size()) return false;
-    switch (s[i]) {
+  size_t run = 0;
+  for (size_t i = s.find('\\'); i != std::string_view::npos;
+       i = s.find('\\', run)) {
+    out->append(s.data() + run, i - run);
+    if (i + 1 >= s.size()) return false;
+    switch (s[i + 1]) {
       case '\\': out->push_back('\\'); break;
       case '"': out->push_back('"'); break;
       case 'n': out->push_back('\n'); break;
@@ -118,7 +129,9 @@ bool UnescapeQuoted(std::string_view s, std::string* out) {
       case 'r': out->push_back('\r'); break;
       default: return false;
     }
+    run = i + 2;
   }
+  out->append(s.data() + run, s.size() - run);
   return true;
 }
 

@@ -37,7 +37,11 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// (used by the FDL printer and the journal codec).
 std::string EscapeQuoted(std::string_view s);
 
-/// Inverse of EscapeQuoted. Returns false on a malformed escape.
+/// Appends EscapeQuoted(s) to `out` without building a temporary.
+void AppendEscaped(std::string_view s, std::string* out);
+
+/// Inverse of EscapeQuoted, written over `out` (its storage is reused).
+/// Returns false on a malformed escape.
 bool UnescapeQuoted(std::string_view s, std::string* out);
 
 }  // namespace exotica

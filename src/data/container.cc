@@ -79,12 +79,19 @@ std::string Container::Serialize() const {
 
 Status Container::Deserialize(const std::string& image) {
   Reset();
-  for (const std::string& line : Split(image, '\n')) {
+  // Walks the image line by line in place; only the path and the value
+  // text of each line are copied out.
+  std::string_view rest = image;
+  while (!rest.empty()) {
+    size_t nl = rest.find('\n');
+    std::string_view line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
     std::string_view trimmed = Trim(line);
     if (trimmed.empty()) continue;
     size_t eq = trimmed.find('=');
     if (eq == std::string_view::npos) {
-      return Status::Corruption("container image line missing '=': " + line);
+      return Status::Corruption("container image line missing '=': " +
+                                std::string(line));
     }
     std::string path(Trim(trimmed.substr(0, eq)));
     EXO_ASSIGN_OR_RETURN(Value v,

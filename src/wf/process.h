@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -103,7 +104,9 @@ class ProcessDefinition {
   static std::string DataKey(const DataEndpoint& endpoint);
 
   std::vector<Activity> activities_;
-  std::map<std::string, size_t> index_;
+  /// Name → activity id; hashed, since journal replay resolves a name per
+  /// record.
+  std::unordered_map<std::string, size_t> index_;
   std::vector<ControlConnector> control_;
   std::vector<DataConnector> data_;
 

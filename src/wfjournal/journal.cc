@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <fstream>
 
 #include "common/strings.h"
 
@@ -36,22 +36,188 @@ const char* EventTypeName(EventType type) {
   return "?";
 }
 
+namespace {
+
+constexpr size_t kFieldCount = 8;
+
+/// Bytes a segment scan reads at a time. The buffer grows past this only
+/// to hold a single longer record (a snapshot or a migrated family image).
+constexpr size_t kReadBufferBytes = 64 * 1024;
+
+/// One encoded line cut into its fields, pointing into the line. Payload
+/// and extra are still escaped.
+struct LineFields {
+  uint64_t seq = 0;
+  EventType type = EventType::kInstanceStart;
+  std::string_view instance;
+  std::string_view activity;
+  std::string_view to;
+  bool flag = false;
+  std::string_view payload;
+  std::string_view extra;
+};
+
+Status Corrupt(std::string what, std::string_view line) {
+  what.append(line);
+  return Status::Corruption(std::move(what));
+}
+
+/// Digits only, as the encoder writes them: no sign, no blank, no
+/// overflow.
+bool ParseNumber(std::string_view s, uint64_t* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// True iff UnescapeQuoted would accept `s`.
+bool ValidEscapes(std::string_view s) {
+  for (size_t i = s.find('\\'); i != std::string_view::npos;
+       i = s.find('\\', i + 2)) {
+    if (i + 1 >= s.size()) return false;
+    switch (s[i + 1]) {
+      case '\\': case '"': case 'n': case 't': case 'r': break;
+      default: return false;
+    }
+  }
+  return true;
+}
+
+/// Cuts `line` into its eight fields and checks all but the escapes, which
+/// the caller then validates (Validate) or unescapes (DecodeInto), payload
+/// before extra, so both report the same first error for a line.
+Status ParseFields(std::string_view line, LineFields* out) {
+  std::string_view field[kFieldCount];
+  size_t count = 0;
+  size_t start = 0;
+  for (;;) {
+    size_t tab = line.find('\t', start);
+    if (count < kFieldCount) field[count] = line.substr(start, tab - start);
+    ++count;
+    if (tab == std::string_view::npos) break;
+    start = tab + 1;
+  }
+  if (count != kFieldCount) {
+    return Corrupt("journal record has " + std::to_string(count) +
+                       " fields, want 8: ",
+                   line);
+  }
+  if (!ParseNumber(field[0], &out->seq)) {
+    return Corrupt("bad seq in journal record: ", line);
+  }
+  uint64_t type = 0;
+  if (!ParseNumber(field[1], &type) ||
+      type > static_cast<uint64_t>(EventType::kSnapshot)) {
+    return Corrupt("bad type in journal record: ", line);
+  }
+  out->type = static_cast<EventType>(type);
+  out->instance = field[2];
+  out->activity = field[3];
+  out->to = field[4];
+  if (field[5] != "0" && field[5] != "1") {
+    return Corrupt("bad flag in journal record: ", line);
+  }
+  out->flag = field[5][0] == '1';
+  out->payload = field[6];
+  out->extra = field[7];
+  return Status::OK();
+}
+
+void AppendNumber(uint64_t value, std::string* out) {
+  char digits[20];
+  auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), value);
+  (void)ec;  // 20 digits hold any uint64_t
+  out->append(digits, end);
+}
+
+/// Reads a segment file line by line through one buffer (see
+/// kReadBufferBytes). A returned line view stays valid until the next call.
+class LineReader {
+ public:
+  /// Takes ownership of `fd`, open for reading.
+  explicit LineReader(int fd) : fd_(fd), buf_(kReadBufferBytes, '\0') {}
+  ~LineReader() { ::close(fd_); }
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  /// Stores the next line, without its '\n', in `*line`; `*terminated` is
+  /// false when the file ends mid-line. Sets `*more` false at end of file.
+  Status Next(std::string_view* line, bool* terminated, bool* more) {
+    for (;;) {
+      const void* nl = scan_ < end_
+                           ? std::memchr(buf_.data() + scan_, '\n', end_ - scan_)
+                           : nullptr;
+      if (nl != nullptr) {
+        size_t pos = static_cast<size_t>(static_cast<const char*>(nl) -
+                                         buf_.data());
+        *line = std::string_view(buf_.data() + begin_, pos - begin_);
+        begin_ = scan_ = pos + 1;
+        *terminated = true;
+        *more = true;
+        return Status::OK();
+      }
+      scan_ = end_;
+      if (eof_) {
+        *more = begin_ < end_;
+        *line = std::string_view(buf_.data() + begin_, end_ - begin_);
+        *terminated = false;
+        begin_ = scan_ = end_;
+        return Status::OK();
+      }
+      // Slide the partial line to the front; grow only when it alone
+      // fills the buffer.
+      if (begin_ > 0) {
+        std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+        end_ -= begin_;
+        scan_ = end_;
+        begin_ = 0;
+      }
+      if (end_ == buf_.size()) buf_.resize(buf_.size() * 2);
+      ssize_t n = ::read(fd_, buf_.data() + end_, buf_.size() - end_);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError(std::string("cannot read journal: ") +
+                               std::strerror(errno));
+      }
+      if (n == 0) {
+        eof_ = true;
+      } else {
+        end_ += static_cast<size_t>(n);
+        bytes_read_ += static_cast<uint64_t>(n);
+      }
+    }
+  }
+
+  uint64_t bytes_read() const { return bytes_read_; }
+
+ private:
+  int fd_;
+  std::string buf_;
+  size_t begin_ = 0;  ///< start of the unread part
+  size_t scan_ = 0;   ///< bytes before this hold no '\n' of the current line
+  size_t end_ = 0;    ///< end of the bytes read
+  bool eof_ = false;
+  uint64_t bytes_read_ = 0;
+};
+
+}  // namespace
+
 void Record::EncodeTo(std::string* out) const {
-  *out += std::to_string(seq);
-  *out += '\t';
-  *out += std::to_string(static_cast<int>(type));
-  *out += '\t';
-  *out += instance;
-  *out += '\t';
-  *out += activity;
-  *out += '\t';
-  *out += to;
-  *out += '\t';
-  *out += flag ? '1' : '0';
-  *out += '\t';
-  *out += EscapeQuoted(payload);
-  *out += '\t';
-  *out += EscapeQuoted(extra);
+  AppendNumber(seq, out);
+  out->push_back('\t');
+  AppendNumber(static_cast<uint64_t>(type), out);
+  out->push_back('\t');
+  out->append(instance);
+  out->push_back('\t');
+  out->append(activity);
+  out->push_back('\t');
+  out->append(to);
+  out->push_back('\t');
+  out->push_back(flag ? '1' : '0');
+  out->push_back('\t');
+  AppendEscaped(payload, out);
+  out->push_back('\t');
+  AppendEscaped(extra, out);
 }
 
 std::string Record::Encode() const {
@@ -60,39 +226,41 @@ std::string Record::Encode() const {
   return out;
 }
 
-Result<Record> Record::Decode(const std::string& line) {
-  std::vector<std::string> fields = Split(line, '\t');
-  if (fields.size() != 8) {
-    return Status::Corruption("journal record has " +
-                              std::to_string(fields.size()) +
-                              " fields, want 8: " + line);
-  }
+Result<Record> Record::Decode(std::string_view line) {
   Record r;
-  char* end = nullptr;
-  r.seq = std::strtoull(fields[0].c_str(), &end, 10);
-  if (end != fields[0].c_str() + fields[0].size()) {
-    return Status::Corruption("bad seq in journal record: " + line);
-  }
-  long type_val = std::strtol(fields[1].c_str(), &end, 10);
-  if (end != fields[1].c_str() + fields[1].size() || type_val < 0 ||
-      type_val > static_cast<long>(EventType::kSnapshot)) {
-    return Status::Corruption("bad type in journal record: " + line);
-  }
-  r.type = static_cast<EventType>(type_val);
-  r.instance = fields[2];
-  r.activity = fields[3];
-  r.to = fields[4];
-  if (fields[5] != "0" && fields[5] != "1") {
-    return Status::Corruption("bad flag in journal record: " + line);
-  }
-  r.flag = fields[5] == "1";
-  if (!UnescapeQuoted(fields[6], &r.payload)) {
-    return Status::Corruption("bad payload escape in journal record: " + line);
-  }
-  if (!UnescapeQuoted(fields[7], &r.extra)) {
-    return Status::Corruption("bad extra escape in journal record: " + line);
-  }
+  EXO_RETURN_NOT_OK(DecodeInto(line, &r));
   return r;
+}
+
+Status Record::DecodeInto(std::string_view line, Record* out) {
+  LineFields f;
+  EXO_RETURN_NOT_OK(ParseFields(line, &f));
+  if (!UnescapeQuoted(f.payload, &out->payload)) {
+    return Corrupt("bad payload escape in journal record: ", line);
+  }
+  if (!UnescapeQuoted(f.extra, &out->extra)) {
+    return Corrupt("bad extra escape in journal record: ", line);
+  }
+  out->seq = f.seq;
+  out->type = f.type;
+  out->instance.assign(f.instance);
+  out->activity.assign(f.activity);
+  out->to.assign(f.to);
+  out->flag = f.flag;
+  return Status::OK();
+}
+
+Status Record::Validate(std::string_view line, uint64_t* seq) {
+  LineFields f;
+  EXO_RETURN_NOT_OK(ParseFields(line, &f));
+  if (!ValidEscapes(f.payload)) {
+    return Corrupt("bad payload escape in journal record: ", line);
+  }
+  if (!ValidEscapes(f.extra)) {
+    return Corrupt("bad extra escape in journal record: ", line);
+  }
+  if (seq != nullptr) *seq = f.seq;
+  return Status::OK();
 }
 
 Status MemoryJournal::Append(Record record) {
@@ -132,8 +300,10 @@ Result<std::unique_ptr<FileJournal>> FileJournal::Open(const std::string& path,
                                                        bool fsync_each) {
   auto journal = std::unique_ptr<FileJournal>(new FileJournal(path, fsync_each));
   EXO_RETURN_NOT_OK(journal->LoadSegments());
-  // Scan existing content to restore the sequence counters and verify
-  // integrity of what is already there. A torn tail in the active segment
+  // Validate existing content in place (nothing is decoded) to restore
+  // the sequence counters and verify integrity of what is already there.
+  // The scan's byte count says whether a tail needs cutting; no second
+  // read of the file. A torn tail in the active segment
   // (crash mid-batch) is cut off so subsequent appends start at a record
   // boundary; damage anywhere behind it is corruption.
   uint64_t expect = journal->segments_.front().start;
@@ -147,16 +317,13 @@ Result<std::unique_ptr<FileJournal>> FileJournal::Open(const std::string& path,
                                 " want " + std::to_string(expect));
     }
     uint64_t good_end = 0;
-    EXO_RETURN_NOT_OK(
-        journal->ScanSegment(seg, active, nullptr, &expect, &good_end));
-    if (active) {
-      std::ifstream probe(seg.path, std::ios::binary | std::ios::ate);
-      if (probe.is_open() &&
-          static_cast<uint64_t>(probe.tellg()) > good_end &&
-          ::truncate(seg.path.c_str(), static_cast<off_t>(good_end)) != 0) {
-        return Status::IOError("cannot truncate torn journal tail in " +
-                               seg.path + ": " + std::strerror(errno));
-      }
+    uint64_t file_size = 0;
+    EXO_RETURN_NOT_OK(journal->ScanSegment(seg, active, nullptr, &expect,
+                                           &good_end, &file_size));
+    if (active && file_size > good_end &&
+        ::truncate(seg.path.c_str(), static_cast<off_t>(good_end)) != 0) {
+      return Status::IOError("cannot truncate torn journal tail in " +
+                             seg.path + ": " + std::strerror(errno));
     }
   }
   journal->next_seq_ = expect;
@@ -172,10 +339,7 @@ Result<std::unique_ptr<FileJournal>> FileJournal::Open(const std::string& path,
 
 Status FileJournal::LoadSegments() {
   segments_.clear();
-  {
-    std::ifstream probe(path_, std::ios::binary);
-    if (probe.is_open()) segments_.push_back({0, path_});
-  }
+  if (::access(path_.c_str(), F_OK) == 0) segments_.push_back({0, path_});
   // Rotation files live next to the base path as `<base>.<startseq>`.
   size_t slash = path_.find_last_of('/');
   std::string dir = slash == std::string::npos ? "." : path_.substr(0, slash);
@@ -211,17 +375,15 @@ FileJournal::~FileJournal() {
 
 Status FileJournal::Append(Record record) {
   record.seq = next_seq_;
+  record.EncodeTo(&pending_);
+  pending_ += '\n';
   if (fsync_each_) {
-    // Write-through: flush anything buffered first so ordering holds, then
-    // write and fsync this record individually.
-    EXO_RETURN_NOT_OK(FlushPending());
-    std::string line;
-    record.EncodeTo(&line);
-    line += '\n';
-    ssize_t n = ::write(fd_, line.data(), line.size());
-    if (n != static_cast<ssize_t>(line.size())) {
-      return Status::IOError("short write to journal " + active_path() + ": " +
-                             std::strerror(errno));
+    // Write-through: the record is written and fsynced before returning.
+    // A failed write drops it from the buffer, so its seq is not used.
+    Status written = FlushPending();
+    if (!written.ok()) {
+      pending_.clear();
+      return written;
     }
     if (::fsync(fd_) != 0) {
       return Status::IOError("fsync failed on journal " + active_path() +
@@ -230,8 +392,6 @@ Status FileJournal::Append(Record record) {
     ++next_seq_;
     return Status::OK();
   }
-  record.EncodeTo(&pending_);
-  pending_ += '\n';
   ++next_seq_;
   if (pending_.size() >= kAutoFlushBytes) return FlushPending();
   return Status::OK();
@@ -295,49 +455,63 @@ Status FileJournal::FlushPending() const {
 }
 
 Status FileJournal::ScanSegment(const Segment& segment, bool allow_torn,
-                                const RecordVisitor& visitor, uint64_t* expect,
-                                uint64_t* good_end) const {
+                                const RecordVisitor* visitor, uint64_t* expect,
+                                uint64_t* good_end, uint64_t* file_size) const {
   *good_end = 0;
-  std::ifstream in(segment.path);
-  if (!in.is_open()) return Status::OK();  // no file yet: empty segment
-  std::string line;
+  *file_size = 0;
+  int fd = ::open(segment.path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::OK();  // no file yet: empty segment
+    return Status::IOError("cannot open journal " + segment.path + ": " +
+                           std::strerror(errno));
+  }
+  LineReader reader(fd);
+  Record record;  // decode target, reused for every line of the scan
+  std::string_view line;
+  bool terminated = false;
+  bool more = false;
   uint64_t offset = 0;
-  while (std::getline(in, line)) {
-    // getline hits EOF exactly when the line had no trailing newline — a
-    // record cut off mid-write.
-    bool terminated = !in.eof();
+  for (;;) {
+    EXO_RETURN_NOT_OK(reader.Next(&line, &terminated, &more));
+    if (!more) break;
     if (line.empty()) {
-      if (terminated) offset += 1;
+      offset += 1;  // a blank line is always '\n'-terminated
       continue;
     }
-    Result<Record> r = Record::Decode(line);
-    if (!r.ok() || !terminated) {
+    uint64_t seq = 0;
+    Status parsed = visitor != nullptr ? Record::DecodeInto(line, &record)
+                                       : Record::Validate(line, &seq);
+    if (!parsed.ok() || !terminated) {
       if (!allow_torn) {
-        return r.ok() ? Status::Corruption("journal segment " + segment.path +
-                                           " has a torn tail behind the "
-                                           "active segment")
-                      : r.status();
+        return parsed.ok() ? Status::Corruption("journal segment " +
+                                                segment.path +
+                                                " has a torn tail behind the "
+                                                "active segment")
+                           : parsed;
       }
-      if (!r.ok()) {
+      if (!parsed.ok()) {
         // Only the final record may be torn; garbage with well-formed
         // lines after it is corruption, not a crash artifact.
-        std::string rest;
-        while (std::getline(in, rest)) {
-          if (!rest.empty()) return r.status();
+        for (;;) {
+          EXO_RETURN_NOT_OK(reader.Next(&line, &terminated, &more));
+          if (!more) break;
+          if (!line.empty()) return parsed;
         }
       }
       break;
     }
-    if (r->seq != *expect) {
+    if (visitor != nullptr) seq = record.seq;
+    if (seq != *expect) {
       return Status::Corruption("journal " + segment.path + " seq gap: got " +
-                                std::to_string(r->seq) + " want " +
+                                std::to_string(seq) + " want " +
                                 std::to_string(*expect));
     }
     ++*expect;
     offset += line.size() + 1;
-    if (visitor) EXO_RETURN_NOT_OK(visitor(*r));
+    if (visitor != nullptr) EXO_RETURN_NOT_OK((*visitor)(record));
   }
   *good_end = offset;
+  *file_size = reader.bytes_read();
   return Status::OK();
 }
 
@@ -355,9 +529,9 @@ Status FileJournal::Visit(const RecordVisitor& visitor) const {
   uint64_t expect = segments_.front().start;
   for (size_t i = 0; i < segments_.size(); ++i) {
     uint64_t good_end = 0;
-    EXO_RETURN_NOT_OK(ScanSegment(segments_[i],
-                                  i + 1 == segments_.size(), visitor, &expect,
-                                  &good_end));
+    uint64_t file_size = 0;
+    EXO_RETURN_NOT_OK(ScanSegment(segments_[i], i + 1 == segments_.size(),
+                                  &visitor, &expect, &good_end, &file_size));
   }
   return Status::OK();
 }

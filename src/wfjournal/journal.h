@@ -24,6 +24,17 @@
 // and truncation, so a truncated journal replays exactly like the
 // untruncated one minus the dropped prefix. See
 // docs/specs/snapshot_recovery.md.
+//
+// Read path. A restart reads the journal twice, but decodes it once.
+// FileJournal::Open validates every line in place (Record::Validate: field
+// count, digits-only seq and type, the flag, every escape, seq continuity)
+// without building a Record, so the only thing it keeps is the counters.
+// Visit then decodes each line exactly once, into one Record reused for
+// the whole scan, so the scan allocates nothing per record once the
+// Record's strings have grown to the longest field. Both scans read a
+// segment through one buffer of 64 KB (grown only to hold a longer
+// record) that is released when the scan ends: memory is bounded by the
+// read buffer, not by the segment.
 
 #ifndef EXOTICA_WFJOURNAL_JOURNAL_H_
 #define EXOTICA_WFJOURNAL_JOURNAL_H_
@@ -32,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -87,7 +99,20 @@ struct Record {
   /// Appends the encoding to `out` (no newline); lets appenders reuse one
   /// buffer instead of allocating a string per record.
   void EncodeTo(std::string* out) const;
-  static Result<Record> Decode(const std::string& line);
+  static Result<Record> Decode(std::string_view line);
+
+  /// Decodes `line` into `*out`, assigning and unescaping into its
+  /// existing string storage. Accepts exactly the lines Decode and
+  /// Validate accept, with the same Corruption; on error `*out` is left
+  /// partly overwritten.
+  static Status DecodeInto(std::string_view line, Record* out);
+
+  /// Checks `line` exactly as Decode does, without building a Record:
+  /// eight tab-separated fields, seq and type digits only (what the
+  /// encoder writes: no sign, no blank), the type in range, the flag `0`
+  /// or `1`, every escape in payload and extra valid. Stores the seq in
+  /// `*seq` when non-null.
+  static Status Validate(std::string_view line, uint64_t* seq = nullptr);
 };
 
 /// \brief Append-only record sink + replay source.
@@ -167,8 +192,9 @@ class MemoryJournal : public Journal {
 class FileJournal : public Journal {
  public:
   /// Opens (creating if necessary) the base file plus any `path.<seq>`
-  /// segments and scans them in seq order to restore the counters. A torn
-  /// final record in the *active* (last) segment — a crash mid-write of a
+  /// segments and validates them in seq order, in place, to restore the
+  /// counters (no record is decoded; see Record::Validate). A torn final
+  /// record in the *active* (last) segment — a crash mid-write of a
   /// group-committed batch — is truncated away; a torn or malformed
   /// record anywhere else is Corruption.
   static Result<std::unique_ptr<FileJournal>> Open(const std::string& path,
@@ -206,13 +232,16 @@ class FileJournal : public Journal {
   /// before scanning the file (pending_ is the only thing mutated).
   Status FlushPending() const;
 
-  /// Streams one segment's records through `visitor` (which may be null).
+  /// Scans one segment through a bounded read buffer. With a null
+  /// `visitor` every line is only validated (Open); otherwise each is
+  /// decoded once into one reused Record and streamed through `visitor`.
   /// `expect` carries the required next seq across segments. Reports the
-  /// byte offset just past the last well-formed record; a torn tail stops
-  /// the scan without error iff `allow_torn` (the active segment).
+  /// byte offset just past the last well-formed record and the bytes the
+  /// file held; a torn tail stops the scan without error iff `allow_torn`
+  /// (the active segment).
   Status ScanSegment(const Segment& segment, bool allow_torn,
-                     const RecordVisitor& visitor, uint64_t* expect,
-                     uint64_t* good_end) const;
+                     const RecordVisitor* visitor, uint64_t* expect,
+                     uint64_t* good_end, uint64_t* file_size) const;
 
   /// Buffered bytes beyond which Append flushes on its own, bounding arena
   /// growth between quiescence points.

@@ -1355,7 +1355,7 @@ Status Engine::BuildFromImage(const InstanceImage& image,
   return Status::OK();
 }
 
-ProcessInstance* Engine::CommitInstance(ProcessInstance inst) {
+ProcessInstance* Engine::CommitInstance(ProcessInstance&& inst) {
   const uint32_t index = static_cast<uint32_t>(instances_.size());
   inst.index = index;
   instance_index_.emplace(inst.id, index);

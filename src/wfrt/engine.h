@@ -388,8 +388,11 @@ class Engine {
   /// in-flight program activities are rescheduled from the beginning
   /// (at-least-once), interrupted navigation steps (connector evaluation,
   /// exit checks, joins) are completed. Call on a fresh engine; follow
-  /// with Run(). Replay streams records through Journal::Visit, so the
-  /// journal is never copied wholesale into memory.
+  /// with Run(). Replay streams records through Journal::Visit, which
+  /// decodes each record exactly once into one reused Record (a
+  /// FileJournal's Open only validated them), so the journal is never
+  /// copied wholesale into memory and no record is decoded twice. Replay
+  /// resolves instance ids and activity names through hashed indexes.
   Status Recover();
 
  private:
@@ -463,8 +466,8 @@ class Engine {
 
   /// Indexes a built instance, counts its spin-up, and (outside recovery)
   /// enqueues its ready activities. Every instance enters the engine
-  /// here. Returns the committed slot.
-  ProcessInstance* CommitInstance(ProcessInstance inst);
+  /// here, moved once into its slot. Returns the committed slot.
+  ProcessInstance* CommitInstance(ProcessInstance&& inst);
 
   /// Marks a family member's slot as a dead husk: detached flag, purged
   /// ready-queue entries, id unindexed.
@@ -587,7 +590,9 @@ class Engine {
   /// erased, so a ready-queue (instance index, activity id) pair is always
   /// resolvable in O(1).
   std::deque<ProcessInstance> instances_;
-  std::map<std::string, uint32_t> instance_index_;
+  /// Id → slot, for lookups only (instance_order_ is the ordered view);
+  /// hashed, since journal replay resolves an id per record.
+  std::unordered_map<std::string, uint32_t> instance_index_;
   std::vector<std::string> instance_order_;
   uint64_t next_instance_ = 1;
 

@@ -69,6 +69,9 @@ TEST_F(ContainerTest, DeserializeRejectsCorruption) {
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->Deserialize("no-equals-here").IsCorruption());
   EXPECT_FALSE(c->Deserialize("Nope=1").ok());
+  // The message quotes the offending line as it stood, blanks included.
+  Status st = c->Deserialize("Id=1\n no-equals-here \nId=2\n");
+  EXPECT_EQ(st.message(), "container image line missing '=':  no-equals-here ");
 }
 
 TEST_F(ContainerTest, UnknownTypeFails) {

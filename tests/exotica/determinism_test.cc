@@ -9,10 +9,12 @@
 //
 // The journal golden below was written by the pre-refactor FileJournal;
 // replaying it proves the on-disk format is unchanged across the dense-id
-// and group-commit work.
+// and group-commit work, and writing it again byte for byte pins the
+// encoder as well as the decoder.
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -362,6 +364,38 @@ TEST(DeterminismTest, PreRefactorJournalReplays) {
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->Get("RC")->as_long(), 0);
   EXPECT_EQ(out->Get("Compensated")->as_long(), 1);
+  std::remove(path.c_str());
+}
+
+TEST(DeterminismTest, WriterReproducesSeedJournalBytes) {
+  // The writer side of the same pin: running the seed scenario with a
+  // FileJournal attached writes exactly the bytes above.
+  std::string path = ::testing::TempDir() + "/exo_seed_writer.log";
+  std::remove(path.c_str());
+
+  atm::SagaSpec spec("S");
+  for (int i = 1; i <= 3; ++i) spec.Then("T" + std::to_string(i));
+  atm::ScriptedRunner runner;
+  runner.AlwaysAbort("T3");
+  wf::DefinitionStore store;
+  auto t = exo::TranslateSaga(spec, &store);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(exo::BindSagaPrograms(spec, store, &runner, &programs).ok());
+  {
+    auto journal = wfjournal::FileJournal::Open(path);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    wfrt::Engine engine(&store, &programs);
+    ASSERT_TRUE(engine.AttachJournal(journal->get()).ok());
+    auto id = engine.RunToCompletion(t->root_process);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  std::string written((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, std::string(kSeedJournal, sizeof(kSeedJournal) - 1));
+  EXPECT_EQ(written.size(), 1369u);
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,7 @@
 // multi-threaded scheduler with skewed sleep profiles and runs under
 // TSan in CI.
 
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
@@ -625,18 +626,56 @@ void BindSleeper(wfrt::ProgramRegistry* programs, const std::string& name,
 }
 
 TEST(FleetStealTest, SkewedSleepBatchBalancesAcrossEngines) {
+  // Engine e0 draws the heavy chain plus its share of light seeds, and the
+  // three light engines drain first and relieve it. The steal happens by
+  // construction, not by sleep timing: e0's own light steps fail (and are
+  // retried) until one of e0's light families has run on another engine,
+  // so e0 keeps stealable families queued, and its depth published, until
+  // a thief takes some. A worker's engine is the id prefix of the first
+  // light instance it runs: every engine starts on its own seeds.
   wf::DefinitionStore store;
   wfrt::ProgramRegistry programs;
   ASSERT_TRUE(DeclareDefaultProgram(&store, "heavy_step").ok());
   ASSERT_TRUE(DeclareDefaultProgram(&store, "light_step").ok());
   BindSleeper(&programs, "heavy_step", wfsim::DurationModel::Fixed(3000));
-  BindSleeper(&programs, "light_step", wfsim::DurationModel::Uniform(300, 700));
+  std::atomic<bool> e0_light_ran_elsewhere{false};
+  wfsim::DurationModel light = wfsim::DurationModel::Uniform(300, 700);
+  ASSERT_TRUE(programs
+                  .Bind("light_step",
+                        [&e0_light_ran_elsewhere, light](
+                            const data::Container&, data::Container* out,
+                            const wfrt::ProgramContext& ctx) -> Status {
+                          thread_local std::string home;
+                          std::string origin = ctx.instance_id.substr(
+                              0, ctx.instance_id.find(':') + 1);
+                          if (home.empty()) home = origin;
+                          if (origin == "e0:") {
+                            if (home != "e0:") {
+                              e0_light_ran_elsewhere.store(true);
+                            } else if (!e0_light_ran_elsewhere.load()) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(500));
+                              return Status::Timeout("waiting for a thief");
+                            }
+                          }
+                          Rng rng(static_cast<uint64_t>(ctx.attempt) * 7919 +
+                                  ctx.activity.size());
+                          std::this_thread::sleep_for(
+                              std::chrono::microseconds(light.Sample(&rng)));
+                          return out->Set("RC", data::Value(int64_t{0}));
+                        })
+                  .ok());
   RegisterChain(&store, "heavy", 10, "heavy_step");
   RegisterChain(&store, "light", 2, "light_step");
 
+  wfrt::EngineOptions eo;
+  // e0's waiting retries are transient crashes; a bound that only a
+  // fleet that never steals could exhaust (about a minute of retries)
+  // turns that regression into a quarantine instead of a hang.
+  eo.retry.max_attempts = 20000;
   wfrt::FleetOptions fo;
   fo.steal_slice = 2;  // low steal latency against multi-ms activities
-  wfrt::EngineFleet fleet(&store, &programs, 4, {}, fo);
+  wfrt::EngineFleet fleet(&store, &programs, 4, eo, fo);
 
   std::vector<wfrt::EngineFleet::BatchSeed> seeds;
   seeds.push_back({"heavy", nullptr});
@@ -646,7 +685,7 @@ TEST(FleetStealTest, SkewedSleepBatchBalancesAcrossEngines) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ok());
   EXPECT_EQ(result->instances_finished, 25u);
-  // The three light engines drain first and relieve the heavy one.
+  EXPECT_TRUE(e0_light_ran_elsewhere.load());
   EXPECT_GE(result->aggregate.instances_stolen, 1u);
   EXPECT_EQ(result->aggregate.instances_stolen,
             result->aggregate.instances_detached);
