@@ -74,12 +74,7 @@ class ConditionEmitter {
     return Status::Internal("unknown expression node kind");
   }
 
-  Result<CompiledCondition> Finish(const Node& root) {
-    if (prog_.max_stack_ > CompiledCondition::kMaxStack) {
-      return Status::Unsupported("condition needs " +
-                                 std::to_string(prog_.max_stack_) +
-                                 " value-stack slots");
-    }
+  CompiledCondition Finish(const Node& root) {
     prog_.source_ = root.ToString();
     prog_.bound_type_ = shape_.type_name();
     return std::move(prog_);

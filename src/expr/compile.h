@@ -2,12 +2,12 @@
 //
 // Compilation binds every identifier to a member slot of one concrete
 // container shape, folds identifier-free subtrees that evaluate cleanly,
-// and lowers AND/OR into short-circuit jumps. It is deliberately
-// conservative: anything it cannot bind statically — an identifier the
-// shape doesn't declare, an expression deeper than the VM's value stack —
-// returns Unsupported and the caller keeps the tree-walk evaluator for
-// that condition. A compiled program must therefore only ever be run
-// against containers sharing the layout of the shape it was bound to.
+// and lowers AND/OR into short-circuit jumps. An identifier the shape
+// doesn't declare is the one thing it cannot bind: that returns
+// Unsupported (process validation rejects such conditions first, so
+// registration never sees it). Depth is unbounded; the VM sizes its value
+// stack to the program. A compiled program must only ever be run against
+// containers sharing the layout of the shape it was bound to.
 
 #ifndef EXOTICA_EXPR_COMPILE_H_
 #define EXOTICA_EXPR_COMPILE_H_
@@ -25,9 +25,7 @@ class ConditionCompiler {
   /// Compiles `root` with identifiers bound to slots of `shape`.
   /// A null `root` is the trivial condition and yields an empty
   /// (always-true) program. Returns Unsupported when the expression
-  /// references a member `shape` doesn't declare or needs more than
-  /// CompiledCondition::kMaxStack stack slots; the caller falls back to
-  /// the tree-walk evaluator.
+  /// references a member `shape` doesn't declare.
   static Result<CompiledCondition> Compile(const Node* root,
                                            const data::Container& shape);
 };

@@ -1,6 +1,7 @@
 #include "expr/vm.h"
 
 #include <utility>
+#include <vector>
 
 #include "expr/ast.h"
 #include "expr/eval.h"
@@ -18,8 +19,9 @@ Result<Value> CompiledCondition::Evaluate(const data::Container& c) const {
                             c.type_name());
   }
   // Size the operand stack to the program's compile-time high-water mark:
-  // a typical condition needs 2-4 slots, and constructing/destroying
-  // kMaxStack Values per evaluation would dominate small programs.
+  // a typical condition needs 2-4 slots, and constructing/destroying a
+  // large fixed stack per evaluation would dominate small programs. The
+  // rare deeper program gets a heap stack.
   if (max_stack_ <= 8) {
     Value stack[8];
     return Run(c, stack);
@@ -32,8 +34,8 @@ Result<Value> CompiledCondition::Evaluate(const data::Container& c) const {
     Value stack[32];
     return Run(c, stack);
   }
-  Value stack[kMaxStack];
-  return Run(c, stack);
+  std::vector<Value> stack(max_stack_);
+  return Run(c, stack.data());
 }
 
 Result<Value> CompiledCondition::Run(const data::Container& c,

@@ -8,15 +8,16 @@
 // program: identifiers become integer slot loads against the container's
 // immutable Layout, constants are folded, and AND/OR become short-circuit
 // jumps. Evaluation walks a vector of fixed-width instructions over a
-// fixed-size value stack and never touches a string or allocates on the
-// success path.
+// value stack sized to the program and never touches a string on the
+// success path; it allocates only for the rare program deeper than 32
+// stack slots.
 //
 // Semantics are exactly those of expr::Evaluate — the binary operators
 // share the kernels in expr::internal (kernels.h, eval.h) — including
 // error *messages*, so the differential property test can demand
 // byte-identical outcomes between the tree-walk and the VM. The tree-walk
-// stays as the reference implementation and the fallback for expressions
-// the compiler cannot bind (see compile.h).
+// stays as the reference implementation; every condition of a registered
+// definition runs on the VM.
 //
 // A CompiledCondition is immutable after compilation and holds no mutable
 // evaluation state, so one program may be evaluated concurrently from many
@@ -67,10 +68,6 @@ class CompiledCondition {
     uint32_t b = 0;  ///< kLoad: index into the identifier-name pool
   };
 
-  /// Value-stack capacity; expressions needing more fail to compile and
-  /// fall back to the tree-walk.
-  static constexpr uint32_t kMaxStack = 64;
-
   /// An empty program; evaluates to TRUE (the trivial condition).
   CompiledCondition() = default;
 
@@ -95,7 +92,8 @@ class CompiledCondition {
   friend class internal::ConditionEmitter;
 
   /// The dispatch loop over a caller-provided operand stack of at least
-  /// max_stack() slots; Evaluate sizes the stack to the program.
+  /// max_stack() slots; Evaluate sizes the stack to the program (inline
+  /// up to 32 slots, on the heap beyond).
   Result<data::Value> Run(const data::Container& container,
                           data::Value* stack) const;
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "expr/compile.h"
 #include "wf/process.h"
@@ -13,52 +13,49 @@ namespace exotica::wf {
 
 namespace {
 
-/// Caches one shape container per output type while compiling a
-/// definition's conditions; activities routinely share types.
-class ShapeCache {
+/// One container prototype per type name for the whole plan. The spin-up
+/// image copies its prototypes from here, so same-typed containers share
+/// one Layout (every spin-up bumps one hot refcount instead of forty cold
+/// ones), and the condition compiler binds slots against the very same
+/// layouts.
+class PrototypeCache {
  public:
-  explicit ShapeCache(const data::TypeRegistry& types) : types_(types) {}
+  explicit PrototypeCache(const data::TypeRegistry& types) : types_(types) {}
 
-  /// The shape container for `type_name`, or null if the type can't be
-  /// instantiated (unknown/recursive — validation would have rejected it,
-  /// so this only trips on unvalidated definitions).
-  const data::Container* Shape(const std::string& type_name) {
-    auto it = shapes_.find(type_name);
-    if (it == shapes_.end()) {
-      Result<data::Container> c = data::Container::Create(types_, type_name);
-      it = shapes_
-               .emplace(type_name, c.ok() ? std::make_unique<data::Container>(
-                                                std::move(c).value())
-                                          : nullptr)
-               .first;
+  Result<const data::Container*> Get(const std::string& type_name) {
+    auto it = protos_.find(type_name);
+    if (it == protos_.end()) {
+      EXO_ASSIGN_OR_RETURN(data::Container proto,
+                           data::Container::Create(types_, type_name));
+      it = protos_.emplace(type_name, std::move(proto)).first;
     }
-    return it->second.get();
+    return &it->second;
   }
 
  private:
   const data::TypeRegistry& types_;
-  std::map<std::string, std::unique_ptr<data::Container>> shapes_;
+  std::map<std::string, data::Container> protos_;
 };
 
 /// Compiles one condition against `shape`, appending the program to
-/// `programs`. Returns the program index, or -1 when the condition can't
-/// be lowered (the runtime tree-walks it instead).
-int32_t CompileCondition(const expr::Condition& cond,
-                         const data::Container* shape,
-                         std::vector<expr::CompiledCondition>* programs) {
-  if (shape == nullptr) return -1;
+/// `programs`. Returns the program index; `where` names the condition in
+/// a compile error.
+Result<int32_t> CompileCondition(
+    const expr::Condition& cond, const data::Container& shape,
+    const std::string& where, std::vector<expr::CompiledCondition>* programs) {
   Result<expr::CompiledCondition> prog =
-      expr::ConditionCompiler::Compile(cond.root(), *shape);
-  if (!prog.ok()) return -1;
+      expr::ConditionCompiler::Compile(cond.root(), shape);
+  if (!prog.ok()) return prog.status().WithContext(where);
   programs->push_back(std::move(prog).value());
   return static_cast<int32_t>(programs->size() - 1);
 }
 
 }  // namespace
 
-NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
-                                       const data::TypeRegistry* types) {
+Result<NavigationPlan> NavigationPlan::Compile(
+    const ProcessDefinition& def, const data::TypeRegistry& types) {
   NavigationPlan plan;
+  PrototypeCache protos(types);
   const std::vector<Activity>& acts = def.activities();
   const std::vector<ControlConnector>& control = def.control_connectors();
   const std::vector<DataConnector>& data = def.data_connectors();
@@ -99,27 +96,45 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
     info.join_fan_in = static_cast<uint32_t>(info.in_control.size());
   }
 
-  // Lower non-trivial conditions to slot-resolved VM programs. Exit
-  // conditions read the activity's own output container; transition
-  // conditions read the *source* activity's output container. Anything
-  // the compiler can't bind keeps its -1 and tree-walks at runtime.
-  if (types != nullptr) {
-    ShapeCache shapes(*types);
-    for (uint32_t id = 0; id < n; ++id) {
-      if (plan.activities_[id].trivial_exit) continue;
-      plan.activities_[id].exit_vm =
-          CompileCondition(acts[id].exit_condition,
-                           shapes.Shape(acts[id].output_type),
-                           &plan.vm_programs_);
-    }
-    for (uint32_t c = 0; c < control.size(); ++c) {
-      ConnectorInfo& info = plan.connectors_[c];
-      if (info.trivial || info.is_otherwise) continue;
-      info.cond_vm =
-          CompileCondition(control[c].condition,
-                           shapes.Shape(acts[info.from].output_type),
-                           &plan.vm_programs_);
-    }
+  // Container prototypes: the process containers, then one input/output
+  // pair per activity.
+  EXO_ASSIGN_OR_RETURN(const data::Container* in, protos.Get(def.input_type()));
+  EXO_ASSIGN_OR_RETURN(const data::Container* out,
+                       protos.Get(def.output_type()));
+  plan.input_proto_ = *in;
+  plan.output_proto_ = *out;
+  plan.activity_inputs_.reserve(n);
+  plan.activity_outputs_.reserve(n);
+  for (const Activity& a : acts) {
+    EXO_ASSIGN_OR_RETURN(in, protos.Get(a.input_type));
+    EXO_ASSIGN_OR_RETURN(out, protos.Get(a.output_type));
+    plan.activity_inputs_.push_back(*in);
+    plan.activity_outputs_.push_back(*out);
+  }
+
+  // Lower every non-trivial condition to a slot-resolved VM program bound
+  // to the prototype layouts. Exit conditions read the activity's own
+  // output container; transition conditions read the *source* activity's
+  // output container.
+  for (uint32_t id = 0; id < n; ++id) {
+    if (plan.activities_[id].trivial_exit) continue;
+    EXO_ASSIGN_OR_RETURN(
+        plan.activities_[id].exit_vm,
+        CompileCondition(acts[id].exit_condition, plan.activity_outputs_[id],
+                         "exit condition of activity " + acts[id].name,
+                         &plan.vm_programs_));
+  }
+  for (uint32_t c = 0; c < control.size(); ++c) {
+    ConnectorInfo& info = plan.connectors_[c];
+    if (info.trivial || info.is_otherwise) continue;
+    EXO_ASSIGN_OR_RETURN(
+        info.cond_vm,
+        CompileCondition(control[c].condition,
+                         plan.activity_outputs_[info.from],
+                         "transition condition " + control[c].from + " -> " +
+                             control[c].to,
+                         &plan.vm_programs_));
+    plan.activities_[info.from].has_cond_out = true;
   }
 
   // Eval-slot offsets: connector evaluations live in two instance-wide
@@ -134,16 +149,15 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
   plan.hot_ =
       HotLayout::Compute(n, plan.in_eval_total_, plan.out_eval_total_);
 
-  // Resolver bits for the outgoing sweep: it reads the source output
-  // container only when some connector is conditioned (has_cond_out), and
-  // needs an expr::ContainerResolver only for conditions left to the
-  // tree-walk (needs_resolver).
-  for (const ConnectorInfo& ci : plan.connectors_) {
-    if (ci.trivial || ci.is_otherwise) continue;
-    ActivityInfo& src = plan.activities_[ci.from];
-    src.has_cond_out = true;
-    if (ci.cond_vm < 0) src.needs_resolver = true;
-  }
+  // Preformat the hot block: all planes zero (kWaiting states, no
+  // enqueued bits, attempt/failures 0) except the connector-eval planes,
+  // which start at -1 (not yet evaluated).
+  const HotLayout& hl = plan.hot_;
+  plan.hot_image_.assign(hl.size, 0);
+  std::fill_n(plan.hot_image_.begin() + hl.in_eval_base, plan.in_eval_total_,
+              static_cast<uint8_t>(-1));
+  std::fill_n(plan.hot_image_.begin() + hl.out_eval_base,
+              plan.out_eval_total_, static_cast<uint8_t>(-1));
 
   // Data connectors: per-source fan-out lists plus resolved targets.
   plan.data_.resize(data.size());
@@ -185,9 +199,8 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
       if (--indegree[m] == 0) frontier.push_back(m);
     }
   }
-  // A cycle leaves topo_ short; registration validates acyclicity, so this
-  // only happens for hand-built unvalidated definitions, which never reach
-  // the navigator's recovery path (the only consumer of topo_).
+  // Registration validates acyclicity before compiling, so every
+  // activity lands in topo_.
 
   // Name-sorted id list: the iteration order of a name-keyed map.
   plan.by_name_.resize(n);

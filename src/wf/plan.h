@@ -1,5 +1,5 @@
-// NavigationPlan: a compile-once/navigate-many index of a
-// ProcessDefinition.
+// NavigationPlan: the executable process template of one registered
+// ProcessDefinition, compiled once at registration and only read after.
 //
 // The navigator's inner loop (ready-queue dispatch, connector evaluation,
 // join decisions, data pushes) used to resolve every topology query
@@ -10,10 +10,18 @@
 // integer-indexed arrays. String names survive solely at API boundaries,
 // audit events, and journal records — the on-disk format is unchanged.
 //
-// The plan holds *indices only*, never pointers into the definition, so a
-// copied definition can safely share its predecessor's plan as long as
-// the topology is identical (definitions are immutable after
-// validation; the Add* mutators invalidate any cached plan).
+// The plan also carries everything else an engine needs to run the
+// definition: every non-trivial condition as a slot-bound VM program
+// (expr/vm.h), and the spin-up image an instance starts from — the
+// process and activity container prototypes and the preformatted hot
+// block. One prototype per container type serves both, so the condition
+// programs bind against the very layouts instances run on. The plan is
+// immutable, so every engine of a fleet reads it concurrently.
+//
+// The plan holds *indices and prototypes only*, never pointers into the
+// definition, so a copied definition can safely share its predecessor's
+// plan as long as the topology is identical (definitions are immutable
+// after validation; the Add* mutators drop the plan).
 
 #ifndef EXOTICA_WF_PLAN_H_
 #define EXOTICA_WF_PLAN_H_
@@ -22,6 +30,9 @@
 #include <limits>
 #include <vector>
 
+#include "common/result.h"
+#include "data/container.h"
+#include "data/types.h"
 #include "expr/vm.h"
 
 namespace exotica::wf {
@@ -34,9 +45,10 @@ class ProcessDefinition;
 /// The per-activity hot fields live in one contiguous byte block: a dense
 /// state byte per activity, the ready-queue dedup byte, the two
 /// connector-eval planes, and 4-aligned int32 attempt/failures arrays.
-/// The layout is fixed per plan, so an InstanceArena can preformat the
-/// whole block as a single memcpy-able image. Cold per-activity state
-/// (containers, work items, child links) stays out of the block entirely.
+/// The layout is fixed per plan, so the plan preformats the whole block as
+/// a single memcpy-able image (NavigationPlan::hot_image). Cold
+/// per-activity state (containers, work items, child links) stays out of
+/// the block entirely.
 struct HotLayout {
   uint32_t state_base = 0;     ///< n bytes: ActivityState per activity
   uint32_t enqueued_base = 0;  ///< n bytes: ready-queue dedup bitmap
@@ -99,15 +111,11 @@ class NavigationPlan {
     bool block = false;        ///< ActivityKind::kProcess
     bool or_join = false;      ///< JoinKind::kOr
     bool trivial_exit = true;  ///< exit condition is always-true
-    /// True when some outgoing connector must tree-walk its condition
-    /// (non-trivial, non-otherwise, and not VM-compiled) — the only case
-    /// the sweep needs an expr::ContainerResolver.
-    bool needs_resolver = false;
     /// True when any outgoing connector carries a non-trivial condition
     /// (the sweep reads the activity's output container).
     bool has_cond_out = false;
     /// Compiled exit-condition program (index into vm_program()), or -1
-    /// when the condition is trivial or couldn't be bound (tree-walk).
+    /// when the condition is trivial.
     int32_t exit_vm = -1;
   };
 
@@ -120,7 +128,7 @@ class NavigationPlan {
     bool is_otherwise = false;
     bool trivial = true;    ///< always-true transition condition
     /// Compiled transition-condition program (index into vm_program()),
-    /// or -1 when trivial/OTHERWISE or unbindable (tree-walk fallback).
+    /// or -1 when trivial or OTHERWISE.
     int32_t cond_vm = -1;
   };
 
@@ -130,16 +138,15 @@ class NavigationPlan {
     uint32_t to = kProcessOutput;  ///< activity id, or kProcessOutput
   };
 
-  /// Compiles `definition`. The definition must be a DAG (enforced by
-  /// ValidateProcess before registration). When `types` is given (the
-  /// registry the definition was validated against), every non-trivial
-  /// exit/transition condition is additionally lowered to a
-  /// CompiledCondition bound to its activity's output-container layout;
-  /// without a registry — the lazy plan() path for hand-built definitions
-  /// — no programs are compiled and the runtime tree-walks every
-  /// condition.
-  static NavigationPlan Compile(const ProcessDefinition& definition,
-                                const data::TypeRegistry* types = nullptr);
+  /// Compiles `definition` against `types`, the registry it was validated
+  /// under; DefinitionStore::AddProcess is the one caller. The definition
+  /// must be a DAG (enforced by ValidateProcess). Every non-trivial
+  /// exit/transition condition is lowered to a CompiledCondition bound to
+  /// its activity's output-container layout, and the spin-up image is
+  /// preformatted. Fails when a container type cannot be instantiated or
+  /// a condition cannot be bound — both rejected by validation first.
+  static Result<NavigationPlan> Compile(const ProcessDefinition& definition,
+                                        const data::TypeRegistry& types);
 
   uint32_t activity_count() const {
     return static_cast<uint32_t>(activities_.size());
@@ -180,9 +187,33 @@ class NavigationPlan {
   const expr::CompiledCondition& vm_program(int32_t index) const {
     return vm_programs_[static_cast<size_t>(index)];
   }
-  /// Number of compiled condition programs (0 when compiled without a
-  /// TypeRegistry).
+  /// Number of compiled condition programs: one per non-trivial exit or
+  /// transition condition.
   size_t vm_program_count() const { return vm_programs_.size(); }
+
+  // --- spin-up image -------------------------------------------------------
+  // Building an instance (start, journal replay, adoption, snapshot
+  // restore) copies the process containers and the hot block from here;
+  // cold activity containers are copied from here on first touch.
+
+  /// Process input/output container prototypes.
+  const data::Container& input_prototype() const { return input_proto_; }
+  const data::Container& output_prototype() const { return output_proto_; }
+
+  /// Activity `aid`'s input/output container prototypes — what cold
+  /// containers materialize from, and what a fresh attempt's output
+  /// container is copied from.
+  const data::Container& activity_input(uint32_t aid) const {
+    return activity_inputs_[aid];
+  }
+  const data::Container& activity_output(uint32_t aid) const {
+    return activity_outputs_[aid];
+  }
+
+  /// The preformatted hot block (hot() layout): zeroed state / enqueued /
+  /// attempt / failures planes, connector-eval planes filled with -1 (not
+  /// yet evaluated). Spin-up is one copy of this.
+  const std::vector<uint8_t>& hot_image() const { return hot_image_; }
 
  private:
   std::vector<ActivityInfo> activities_;
@@ -196,6 +227,11 @@ class NavigationPlan {
   uint32_t in_eval_total_ = 0;
   uint32_t out_eval_total_ = 0;
   HotLayout hot_;
+  data::Container input_proto_;
+  data::Container output_proto_;
+  std::vector<data::Container> activity_inputs_;
+  std::vector<data::Container> activity_outputs_;
+  std::vector<uint8_t> hot_image_;
 };
 
 }  // namespace exotica::wf

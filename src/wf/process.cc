@@ -111,18 +111,6 @@ Result<size_t> ProcessDefinition::ActivityIndex(const std::string& name) const {
   return it->second;
 }
 
-const NavigationPlan& ProcessDefinition::plan() const {
-  if (plan_ == nullptr) {
-    plan_ = std::make_shared<const NavigationPlan>(NavigationPlan::Compile(*this));
-  }
-  return *plan_;
-}
-
-void ProcessDefinition::CompilePlan(const data::TypeRegistry& types) const {
-  plan_ = std::make_shared<const NavigationPlan>(
-      NavigationPlan::Compile(*this, &types));
-}
-
 namespace {
 std::vector<size_t> Lookup(const std::map<std::string, std::vector<size_t>>& m,
                            const std::string& key) {
@@ -252,15 +240,14 @@ Status DefinitionStore::AddProcess(ProcessDefinition process) {
   }
   EXO_RETURN_NOT_OK_CTX(ValidateProcess(process, *this),
                         "validating process " + process.name());
-  auto [vit, inserted] = processes_[process.name()].emplace(
-      process.version(), std::move(process));
-  (void)inserted;
-  // Compile the navigation plan eagerly: registered definitions are shared
-  // read-only across engine threads, so the lazy compile in plan() must
-  // never race. Registration is the last single-threaded moment — and the
-  // only one with the TypeRegistry at hand, so this is also where every
-  // condition is lowered to a slot-bound VM program.
-  vit->second.CompilePlan(types_);
+  // Registration is the last single-threaded moment before engine threads
+  // share the definition, and the only one with the TypeRegistry at hand:
+  // the whole executable template is compiled here, once.
+  Result<NavigationPlan> plan = NavigationPlan::Compile(process, types_);
+  EXO_RETURN_NOT_OK_CTX(plan.status(), "compiling process " + process.name());
+  process.plan_ =
+      std::make_shared<const NavigationPlan>(std::move(plan).value());
+  processes_[process.name()].emplace(process.version(), std::move(process));
   return Status::OK();
 }
 

@@ -5,6 +5,7 @@
 #ifndef EXOTICA_WF_PROCESS_H_
 #define EXOTICA_WF_PROCESS_H_
 
+#include <cassert>
 #include <map>
 #include <memory>
 #include <string>
@@ -64,17 +65,15 @@ class ProcessDefinition {
   /// resolves names to ids once at API boundaries and navigates on ids.
   Result<size_t> ActivityIndex(const std::string& name) const;
 
-  /// The compiled navigation plan. Compiled lazily on first use and cached;
-  /// DefinitionStore::AddProcess compiles eagerly so registered
-  /// definitions can be shared across engine threads without races. Any
-  /// Add* mutation invalidates the cache.
-  const NavigationPlan& plan() const;
-
-  /// Recompiles the plan with condition programs bound against `types`
-  /// (the registry the definition was validated under). Called by
-  /// DefinitionStore::AddProcess; the lazy plan() path never binds
-  /// conditions and the runtime tree-walks them instead.
-  void CompilePlan(const data::TypeRegistry& types) const;
+  /// The compiled plan: topology index, condition programs and spin-up
+  /// image (see plan.h). DefinitionStore::AddProcess builds it, so only a
+  /// registered definition (or a copy of one) has a plan; calling this on
+  /// any other is a precondition violation. Any Add* mutation drops the
+  /// plan.
+  const NavigationPlan& plan() const {
+    assert(plan_ != nullptr && "plan() of an unregistered definition");
+    return *plan_;
+  }
 
   /// Indices into control_connectors() with the given source / target.
   std::vector<size_t> OutgoingControl(const std::string& activity) const;
@@ -118,10 +117,11 @@ class ProcessDefinition {
   std::map<std::string, std::vector<size_t>> data_out_;
   std::map<std::string, std::vector<size_t>> data_in_;
 
-  // Cached compiled plan. Index-based (no pointers into this object), so
-  // copies may share it. Mutable: plan() is a const accessor compiling on
-  // first use.
-  mutable std::shared_ptr<const NavigationPlan> plan_;
+  // The plan DefinitionStore::AddProcess compiled. It holds no pointers
+  // into this object, so copies may share it.
+  std::shared_ptr<const NavigationPlan> plan_;
+
+  friend class DefinitionStore;
 };
 
 /// \brief Declaration of an executable program (definition side).
@@ -154,9 +154,10 @@ class DefinitionStore {
   /// Registers a process under its (name, version) pair — the paper's
   /// §3.2 meta-model gives every process "a name, version number, ...".
   /// The definition must pass ValidateProcess (see validate.h) against
-  /// this store. Registering the same (name, version) twice fails;
-  /// registering a higher version makes it the default for new instances
-  /// while in-flight instances stay pinned to theirs.
+  /// this store; registration then compiles its NavigationPlan, the one
+  /// place a definition is compiled. Registering the same (name, version)
+  /// twice fails; registering a higher version makes it the default for
+  /// new instances while in-flight instances stay pinned to theirs.
   Status AddProcess(ProcessDefinition process);
   bool HasProcess(const std::string& name) const {
     return processes_.count(name) > 0;

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/strings.h"
-#include "expr/eval.h"
 
 namespace exotica::wfrt {
 
@@ -226,41 +225,27 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
   return id;
 }
 
-Result<const InstanceArena*> Engine::ArenaFor(const wf::ProcessDefinition* def) {
-  auto shared = shared_arenas_.find(def);
-  if (shared != shared_arenas_.end()) return shared->second;
-  auto it = arenas_.find(def);
-  if (it == arenas_.end()) {
-    EXO_ASSIGN_OR_RETURN(InstanceArena arena,
-                         InstanceArena::Build(*def, definitions_->types()));
-    it = arenas_.emplace(def, std::move(arena)).first;
-  }
-  return &it->second;
-}
-
 Status Engine::BuildInstance(const wf::ProcessDefinition* def,
                              const data::Container* input,
                              ProcessInstance* inst,
                              const std::string& input_image,
                              const std::string& output_image) {
-  EXO_ASSIGN_OR_RETURN(const InstanceArena* arena, ArenaFor(def));
   const wf::NavigationPlan& plan = def->plan();
   inst->definition = def;
   inst->plan = &plan;
-  inst->arena = arena;
-  inst->input = input != nullptr ? *input : arena->input();
+  inst->input = input != nullptr ? *input : plan.input_prototype();
   if (!input_image.empty()) {
     EXO_RETURN_NOT_OK(inst->input.Deserialize(input_image));
   }
-  inst->output = arena->output();
+  inst->output = plan.output_prototype();
   if (!output_image.empty()) {
     EXO_RETURN_NOT_OK(inst->output.Deserialize(output_image));
   }
-  // One copy of the arena's preformatted hot block plus a
+  // One copy of the plan's preformatted hot block plus a
   // default-constructed cold sidecar — no per-activity container copies at
   // spin-up; cold containers materialize on first touch.
   inst->hl = plan.hot();
-  inst->hot = arena->hot_image();
+  inst->hot = plan.hot_image();
   inst->cold.resize(plan.activity_count());
   // Process-input data connectors materialize target inputs immediately.
   for (uint32_t d : plan.input_data()) {
@@ -280,12 +265,12 @@ Status Engine::BuildInstance(const wf::ProcessDefinition* def,
 
 void Engine::MaterializeActivityInput(ProcessInstance* inst, uint32_t aid) {
   data::Container& c = inst->cold[aid].input;
-  if (c.type_name().empty()) c = inst->arena->activity_input(aid);
+  if (c.type_name().empty()) c = inst->plan->activity_input(aid);
 }
 
 void Engine::MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid) {
   data::Container& c = inst->cold[aid].output;
-  if (c.type_name().empty()) c = inst->arena->activity_output(aid);
+  if (c.type_name().empty()) c = inst->plan->activity_output(aid);
 }
 
 Status Engine::ReadyStartActivities(ProcessInstance* inst) {
@@ -417,9 +402,9 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
   inst->SetState(aid, ActivityState::kRunning);
   MaterializeActivityInput(inst, aid);
   // Fresh output container per attempt: a half-written image from a failed
-  // attempt must not leak into the next one. One copy of the arena's
+  // attempt must not leak into the next one. One copy of the plan's
   // preformatted prototype instead of a type-registry walk.
-  inst->activity_output(aid) = inst->arena->activity_output(aid);
+  inst->activity_output(aid) = inst->plan->activity_output(aid);
   if (journal_ != nullptr) {
     EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityStarted,
                                     inst->id, def.name, "", false,
@@ -595,20 +580,11 @@ Status Engine::HandleFinished(ProcessInstance* inst, uint32_t aid) {
   const wf::Activity& def = DefOf(inst, aid);
   inst->SetState(aid, ActivityState::kFinished);
 
-  bool exit_ok;
+  bool exit_ok = true;  // always-true exit condition
   const wf::NavigationPlan::ActivityInfo& info = inst->plan->activity(aid);
-  if (info.trivial_exit) {
-    exit_ok = true;  // always-true exit condition: skip the resolver
-  } else {
-    const data::Container& out = inst->activity_output(aid);
-    Result<bool> exit_result = [&]() -> Result<bool> {
-      if (info.exit_vm >= 0) {
-        return EvalVmCondition(inst, info.exit_vm, out);
-      }
-      ++stats_.tree_condition_evals;
-      expr::ContainerResolver resolver(out);
-      return def.exit_condition.Evaluate(resolver);
-    }();
+  if (!info.trivial_exit) {
+    Result<bool> exit_result =
+        EvalVmCondition(inst, info.exit_vm, inst->activity_output(aid));
     if (!exit_result.ok()) {
       return exit_result.status().WithContext("exit condition of " + def.name +
                                               " in " + inst->id);
@@ -691,13 +667,6 @@ Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
   if (!all_false && info.has_cond_out) MaterializeActivityOutput(inst, aid);
   const data::Container& out = inst->activity_output(aid);
 
-  // Every outgoing connector reads the same source output container, so
-  // one resolver serves the whole sweep — but only tree-walked conditions
-  // consult it, so the plan's resolver bit lets trivial/VM-only sweeps
-  // (and all-false dead-path sweeps) skip constructing it entirely.
-  std::optional<expr::ContainerResolver> resolver;
-  if (!all_false && info.needs_resolver) resolver.emplace(out);
-
   // Fresh evaluations are delivered only after every sibling connector is
   // journaled, so a successor's join never fires on a partial picture.
   std::vector<std::pair<uint32_t, bool>> fresh;
@@ -734,19 +703,15 @@ Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
     if (all_false) {
       value = false;
     } else if (ci.trivial) {
-      value = true;  // unconditioned connector: no resolver needed
+      value = true;  // unconditioned connector
     } else {
-      const wf::ControlConnector& c = connectors[cidx];
-      Result<bool> r = [&]() -> Result<bool> {
-        if (ci.cond_vm >= 0) return EvalVmCondition(inst, ci.cond_vm, out);
-        ++stats_.tree_condition_evals;
-        return c.condition.Evaluate(*resolver);
-      }();
+      Result<bool> r = EvalVmCondition(inst, ci.cond_vm, out);
       if (r.ok()) {
         value = r.value();
       } else if (options_.condition_error_is_false) {
         value = false;
       } else {
+        const wf::ControlConnector& c = connectors[cidx];
         return r.status().WithContext("transition condition " + c.from +
                                       " -> " + c.to + " in " + inst->id);
       }
@@ -1263,15 +1228,30 @@ Status Engine::Adopt(const DetachedInstance& detached) {
 }
 
 Status Engine::ApplyAdopt(const DetachedInstance& detached) {
+  EXO_ASSIGN_OR_RETURN(std::vector<ProcessInstance*> family,
+                       MaterializeImages(detached.images, &detached.root_id));
+  ++stats_.instances_stolen;
+  Audit(AuditKind::kInstanceAdopted, detached.root_id, "",
+        std::to_string(family.size()) + " instances");
+  return Status::OK();
+}
+
+Result<std::vector<ProcessInstance*>> Engine::MaterializeImages(
+    const std::vector<std::string>& encoded, const std::string* adopt_root) {
   // Decode, validate, and build every member before committing any, so a
-  // bad image cannot leave a half-adopted family behind.
+  // bad image cannot leave a half-adopted family or a half-restored
+  // snapshot behind.
   std::vector<InstanceImage> images;
-  images.reserve(detached.images.size());
-  for (const std::string& encoded : detached.images) {
-    EXO_ASSIGN_OR_RETURN(InstanceImage image, DecodeInstanceImage(encoded));
+  images.reserve(encoded.size());
+  for (const std::string& e : encoded) {
+    EXO_ASSIGN_OR_RETURN(InstanceImage image, DecodeInstanceImage(e));
     bool collision = instance_index_.count(image.id) > 0;
     for (const InstanceImage& member : images) {
       collision = collision || member.id == image.id;
+    }
+    if (collision && adopt_root == nullptr) {
+      return Status::Corruption("snapshot lists instance " + image.id +
+                                " more than once");
     }
     if (collision) {
       return Status::FailedPrecondition("instance id collision adopting " +
@@ -1284,19 +1264,21 @@ Status Engine::ApplyAdopt(const DetachedInstance& detached) {
                           .status());
     images.push_back(std::move(image));
   }
-  if (images.empty() || images[0].id != detached.root_id) {
+  if (adopt_root != nullptr &&
+      (images.empty() || images[0].id != *adopt_root)) {
     return Status::InvalidArgument("detached payload root mismatch for " +
-                                   detached.root_id);
+                                   *adopt_root);
   }
-  std::vector<ProcessInstance> family(images.size());
+  std::vector<ProcessInstance> built(images.size());
   for (size_t i = 0; i < images.size(); ++i) {
-    EXO_RETURN_NOT_OK(BuildFromImage(images[i], &family[i]));
+    EXO_RETURN_NOT_OK(BuildFromImage(images[i], &built[i]));
   }
-  for (ProcessInstance& member : family) CommitInstance(std::move(member));
-  ++stats_.instances_stolen;
-  Audit(AuditKind::kInstanceAdopted, detached.root_id, "",
-        std::to_string(images.size()) + " instances");
-  return Status::OK();
+  std::vector<ProcessInstance*> committed;
+  committed.reserve(built.size());
+  for (ProcessInstance& member : built) {
+    committed.push_back(CommitInstance(std::move(member)));
+  }
+  return committed;
 }
 
 Status Engine::BuildFromImage(const InstanceImage& image,
@@ -1365,7 +1347,6 @@ ProcessInstance* Engine::CommitInstance(ProcessInstance&& inst) {
   // Spin-ups count once committed, so a rejected build leaves the
   // counters as they were.
   ++stats_.arena_spinups;
-  if (shared_arenas_.count(p->definition) > 0) ++stats_.arena_shared_hits;
   // During journal replay, later records (and ResumeAfterReplay) drive the
   // family onward; live adoption re-dispatches the ready work here.
   if (!recovering_ && !p->suspended && !p->finished && !p->failed) {
@@ -1407,18 +1388,16 @@ Status Engine::Checkpoint() {
   // their block children — the order ReplaySnapshot rebuilds them in.
   // Finished (including cancelled) top-level families are dropped; that is
   // what makes recovery O(live state). Quarantined families stay: their
-  // committed-state image is the saga compensation source.
-  std::string payload;
-  size_t live = 0;
+  // committed-state image is the saga compensation source. The payload is
+  // the migration codec's: one escaped image per line.
+  DetachedInstance live;
   for (const ProcessInstance& inst : instances_) {
     if (inst.detached) continue;
     Result<uint32_t> root = RootIndex(&inst);
     if (root.ok() && instances_[*root].finished && !instances_[*root].failed) {
       continue;
     }
-    payload += EscapeQuoted(EncodeInstanceImage(inst));
-    payload += '\n';
-    ++live;
+    live.images.push_back(EncodeInstanceImage(inst));
   }
   // Order of operations is the crash contract (see
   // docs/specs/snapshot_recovery.md): flush navigation records, rotate so
@@ -1429,7 +1408,7 @@ Status Engine::Checkpoint() {
   EXO_RETURN_NOT_OK(journal_->RotateSegment());
   uint64_t snapshot_seq = journal_->size();
   EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kSnapshot, "", "", "",
-                                  /*flag=*/false, std::move(payload),
+                                  /*flag=*/false, live.EncodePayload(),
                                   std::to_string(next_instance_)));
   EXO_RETURN_NOT_OK(FlushJournal());
   ++stats_.snapshots_written;
@@ -1441,8 +1420,8 @@ Status Engine::Checkpoint() {
                        journal_->TruncateBefore(snapshot_seq));
   stats_.records_truncated += dropped;
   Audit(AuditKind::kCheckpoint, "", "",
-        std::to_string(live) + " live, " + std::to_string(dropped) +
-            " truncated");
+        std::to_string(live.images.size()) + " live, " +
+            std::to_string(dropped) + " truncated");
   return Status::OK();
 }
 
@@ -1559,7 +1538,7 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       inst->SetState(uaid, ActivityState::kRunning);
       inst->attempt(uaid) =
           static_cast<int32_t>(std::strtol(r.payload.c_str(), nullptr, 10));
-      inst->activity_output(uaid) = inst->arena->activity_output(uaid);
+      inst->activity_output(uaid) = inst->plan->activity_output(uaid);
       return Status::OK();
     }
     case EventType::kActivityFinished: {
@@ -1690,17 +1669,14 @@ Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
   replay_saw_snapshot_ = true;
   replay_snapshot_seq_ = r.seq;
 
-  for (const std::string& line : Split(r.payload, '\n')) {
-    if (line.empty()) continue;
-    std::string encoded;
-    if (!UnescapeQuoted(line, &encoded)) {
-      return Status::Corruption("bad image escape in snapshot record seq " +
-                                std::to_string(r.seq));
-    }
-    EXO_ASSIGN_OR_RETURN(InstanceImage image, DecodeInstanceImage(encoded));
-    ProcessInstance built;
-    EXO_RETURN_NOT_OK(BuildFromImage(image, &built));
-    ProcessInstance* p = CommitInstance(std::move(built));
+  std::vector<std::string> images;
+  if (!DetachedInstance::DecodeImages(r.payload, &images)) {
+    return Status::Corruption("bad image escape in snapshot record seq " +
+                              std::to_string(r.seq));
+  }
+  EXO_ASSIGN_OR_RETURN(std::vector<ProcessInstance*> restored,
+                       MaterializeImages(images, /*adopt_root=*/nullptr));
+  for (ProcessInstance* p : restored) {
     ++stats_.instances_started;
     if (p->finished) ++stats_.instances_finished;
     if (p->failed && !p->is_child()) {

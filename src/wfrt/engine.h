@@ -31,7 +31,6 @@
 #include "org/worklist.h"
 #include "wf/process.h"
 #include "wfjournal/journal.h"
-#include "wfrt/arena.h"
 #include "wfrt/audit.h"
 #include "wfrt/instance.h"
 #include "wfrt/migrate.h"
@@ -157,11 +156,13 @@ struct EngineStats {
   uint64_t instances_detached = 0; ///< families migrated away (victim side)
   uint64_t instances_stolen = 0;   ///< families adopted (thief side)
   uint64_t steals_failed = 0;      ///< steal attempts that found nothing
-  uint64_t arena_spinups = 0;      ///< instances spun up from an arena image
-  uint64_t arena_shared_hits = 0;  ///< spin-ups served from a fleet-shared arena
+  /// Instances spun up from their plan's image (starts, replayed starts,
+  /// adoptions and snapshot restores).
+  uint64_t arena_spinups = 0;
   uint64_t vm_condition_evals = 0;   ///< conditions run on the compiled VM
-  /// Conditions run on the tree-walk: those the compiler could not bind,
-  /// and every condition of a plan built without a TypeRegistry.
+  /// Always 0. Conditions the compiler could not bind once fell back to
+  /// the tree-walk; registration now compiles every condition. The field
+  /// stays for the same readers as step_program_dispatches.
   uint64_t tree_condition_evals = 0;
   /// Always 0. Outgoing sweeps once ran as fused step programs; the
   /// interpreted sweep is the only one left. The field stays so readers
@@ -174,7 +175,42 @@ struct EngineStats {
   /// Always 0, like step_program_dispatches: the native step functions
   /// are gone, and the field stays for the same readers.
   uint64_t native_step_dispatches = 0;
+
+  /// Adds every counter of `other` (the fleet's per-engine aggregation).
+  void Add(const EngineStats& other);
 };
+
+// EngineStats is all uint64_t counters; a counter added to the struct but
+// not to Add() trips this.
+static_assert(sizeof(EngineStats) == 24 * sizeof(uint64_t),
+              "add the new counter to EngineStats::Add, then bump this");
+
+inline void EngineStats::Add(const EngineStats& o) {
+  instances_started += o.instances_started;
+  instances_finished += o.instances_finished;
+  activities_executed += o.activities_executed;
+  connectors_evaluated += o.connectors_evaluated;
+  dead_path_terminations += o.dead_path_terminations;
+  reschedules += o.reschedules;
+  program_failures += o.program_failures;
+  retries += o.retries;
+  backoff_waits += o.backoff_waits;
+  backoff_wait_micros += o.backoff_wait_micros;
+  permanent_failures += o.permanent_failures;
+  instances_failed += o.instances_failed;
+  instances_detached += o.instances_detached;
+  instances_stolen += o.instances_stolen;
+  steals_failed += o.steals_failed;
+  arena_spinups += o.arena_spinups;
+  vm_condition_evals += o.vm_condition_evals;
+  tree_condition_evals += o.tree_condition_evals;
+  step_program_dispatches += o.step_program_dispatches;
+  steal_slice_shrinks += o.steal_slice_shrinks;
+  snapshots_written += o.snapshots_written;
+  records_truncated += o.records_truncated;
+  recovery_records_replayed += o.recovery_records_replayed;
+  native_step_dispatches += o.native_step_dispatches;
+}
 
 /// \brief The navigator.
 ///
@@ -327,8 +363,8 @@ class Engine {
   Result<DetachedInstance> Detach(const std::string& instance_id);
 
   /// Adopts a detached family: journals the image (kInstanceAdopted, so
-  /// this journal replays self-contained), materializes every member via
-  /// the spin-up arena, overlays the imaged state, and enqueues ready
+  /// this journal replays self-contained), materializes every member from
+  /// its definition's plan, overlays the imaged state, and enqueues ready
   /// automatic activities. Fails without touching engine state on
   /// malformed images, unknown definitions, or id collisions.
   Status Adopt(const DetachedInstance& detached);
@@ -351,14 +387,6 @@ class Engine {
   /// the per-engine activity-cost signal the fleet's steal victim picking
   /// multiplies into queue depth. 0 until the first sampled execution.
   double mean_activity_cost_micros() const { return cost_ewma_micros_; }
-
-  /// Registers a fleet-owned spin-up arena for `def`. Shared arenas are
-  /// immutable once built and consulted before the engine's private cache,
-  /// so every engine in a fleet spins instances of `def` up from one image
-  /// instead of each building its own. `arena` must outlive the engine.
-  void ShareArena(const wf::ProcessDefinition* def, const InstanceArena* arena) {
-    shared_arenas_[def] = arena;
-  }
 
   /// Surrenders the retained image of an instance this engine detached
   /// before a crash, as recovered from the journal. The fleet re-adopts a
@@ -421,25 +449,22 @@ class Engine {
 
   /// The one instance builder: a fresh start (CreateInstance), replay of
   /// kInstanceStart and a migration or snapshot image (BuildFromImage)
-  /// all come through here. Spins `inst` up from `def`'s arena: process
-  /// input/output copied from its prototypes (`input` replaces the input;
-  /// non-empty images are deserialized over them), one copy of the hot
-  /// block, a default-constructed cold sidecar, then the process-input
-  /// data connectors. The caller sets the id and parent link; no engine
-  /// state is touched.
+  /// all come through here. Spins `inst` up from the image in `def`'s
+  /// plan: process input/output copied from its prototypes (`input`
+  /// replaces the input; non-empty images are deserialized over them), one
+  /// copy of the hot block, a default-constructed cold sidecar, then the
+  /// process-input data connectors. The caller sets the id and parent
+  /// link; no engine state is touched.
   Status BuildInstance(const wf::ProcessDefinition* def,
                        const data::Container* input, ProcessInstance* inst,
                        const std::string& input_image = "",
                        const std::string& output_image = "");
 
   /// Cold containers start default-constructed; these materialize them
-  /// from the arena's prototypes on first touch. No-ops on
+  /// from the plan's prototypes on first touch. No-ops on
   /// already-materialized containers.
   void MaterializeActivityInput(ProcessInstance* inst, uint32_t aid);
   void MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid);
-
-  /// Lazily built per-definition spin-up image.
-  Result<const InstanceArena*> ArenaFor(const wf::ProcessDefinition* def);
 
   /// Index of the top-level instance owning `inst` (itself when
   /// top-level): the one walk up the block tree. NotFound when a parent
@@ -453,15 +478,23 @@ class Engine {
   Status CollectFamily(const ProcessInstance* root,
                        std::vector<const ProcessInstance*>* family) const;
 
-  /// Decode + validate + materialize a detached family; shared by Adopt
-  /// and kInstanceAdopted replay (journaling is the caller's business).
-  /// Every member is built before any is committed, so a rejected family
-  /// leaves the engine's instances and ready queue untouched.
+  /// Materializes a detached family; shared by Adopt and kInstanceAdopted
+  /// replay (journaling is the caller's business).
   Status ApplyAdopt(const DetachedInstance& detached);
 
-  /// Rebuilds one family member from its image into `inst` via the arena
-  /// and overlays the imaged state. Touches no instance, queue, or
-  /// counter state of the engine.
+  /// The one image materializer, shared by adoption and snapshot replay:
+  /// decodes every encoded image, rejects an id the engine already holds
+  /// or the list repeats, builds every member, and only then commits them
+  /// all, so a rejected list leaves the engine's instances and ready
+  /// queue untouched. Adoption passes its family's root id in
+  /// `adopt_root`, which must be the first image's; snapshot replay
+  /// passes null. Returns the committed slots in list order.
+  Result<std::vector<ProcessInstance*>> MaterializeImages(
+      const std::vector<std::string>& images, const std::string* adopt_root);
+
+  /// Rebuilds one family member from its image into `inst` from its
+  /// definition's plan and overlays the imaged state. Touches no
+  /// instance, queue, or counter state of the engine.
   Status BuildFromImage(const InstanceImage& image, ProcessInstance* inst);
 
   /// Indexes a built instance, counts its spin-up, and (outside recovery)
@@ -597,11 +630,6 @@ class Engine {
   uint64_t next_instance_ = 1;
 
   std::deque<std::pair<uint32_t, uint32_t>> ready_queue_;
-
-  std::unordered_map<const wf::ProcessDefinition*, InstanceArena> arenas_;
-  /// Fleet-shared arenas (ShareArena), checked before the private cache.
-  std::unordered_map<const wf::ProcessDefinition*, const InstanceArena*>
-      shared_arenas_;
 
   /// Images of families this engine detached, retained during journal
   /// replay for dangling-handoff recovery (TakeDetachedImage).

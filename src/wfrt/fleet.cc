@@ -97,8 +97,8 @@ Result<EngineFleet::RecoveryReport> EngineFleet::Recover() {
         "no journal shards attached (AttachJournals/OpenJournalShards)");
   }
   // Phase 1: every engine replays its own shard, in parallel. Engines
-  // share only immutable state (definitions, type registry, shared
-  // arenas), so recovery needs no coordination until the handoff pass.
+  // share only immutable state (definitions and their compiled plans), so
+  // recovery needs no coordination until the handoff pass.
   std::vector<Status> statuses(n);
   {
     std::vector<std::thread> workers;
@@ -182,45 +182,11 @@ EngineFleet::AssignSeeds(const std::vector<BatchSeed>& seeds) const {
   return assigned;
 }
 
-Status EngineFleet::PrepareArenas(const std::vector<BatchSeed>& seeds) {
-  // Transitive closure over subprocess (block) activities, so a block
-  // spin-up mid-batch also hits a shared arena.
-  std::vector<const wf::ProcessDefinition*> frontier;
-  for (const BatchSeed& seed : seeds) {
-    EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* def,
-                         definitions_->FindProcess(seed.process));
-    frontier.push_back(def);
-  }
-  while (!frontier.empty()) {
-    const wf::ProcessDefinition* def = frontier.back();
-    frontier.pop_back();
-    if (arenas_.count(def) > 0) continue;
-    EXO_ASSIGN_OR_RETURN(InstanceArena arena,
-                         InstanceArena::Build(*def, definitions_->types()));
-    auto [it, inserted] =
-        arenas_.emplace(def, std::make_unique<InstanceArena>(std::move(arena)));
-    (void)inserted;
-    for (std::unique_ptr<Engine>& engine : engines_) {
-      engine->ShareArena(def, it->second.get());
-    }
-    for (const wf::Activity& a : def->activities()) {
-      if (!a.is_process()) continue;
-      EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* sub,
-                           definitions_->FindProcess(a.subprocess));
-      frontier.push_back(sub);
-    }
-  }
-  return Status::OK();
-}
-
 Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
     const std::vector<BatchSeed>& seeds) {
   for (const BatchSeed& seed : seeds) {
     EXO_RETURN_NOT_OK(definitions_->FindProcess(seed.process).status());
   }
-  // Single-threaded moment: build (or reuse) the shared spin-up arenas
-  // before any worker thread exists.
-  EXO_RETURN_NOT_OK(PrepareArenas(seeds));
   std::vector<std::vector<const BatchSeed*>> assigned = AssignSeeds(seeds);
 
   BatchResult result;
@@ -230,29 +196,7 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
   for (size_t e = 0; e < engines_.size(); ++e) {
     const Engine& engine = *engines_[e];
     const EngineStats& s = engine.stats();
-    result.aggregate.instances_started += s.instances_started;
-    result.aggregate.instances_finished += s.instances_finished;
-    result.aggregate.activities_executed += s.activities_executed;
-    result.aggregate.connectors_evaluated += s.connectors_evaluated;
-    result.aggregate.dead_path_terminations += s.dead_path_terminations;
-    result.aggregate.reschedules += s.reschedules;
-    result.aggregate.program_failures += s.program_failures;
-    result.aggregate.retries += s.retries;
-    result.aggregate.backoff_waits += s.backoff_waits;
-    result.aggregate.backoff_wait_micros += s.backoff_wait_micros;
-    result.aggregate.permanent_failures += s.permanent_failures;
-    result.aggregate.instances_failed += s.instances_failed;
-    result.aggregate.instances_detached += s.instances_detached;
-    result.aggregate.instances_stolen += s.instances_stolen;
-    result.aggregate.steals_failed += s.steals_failed;
-    result.aggregate.arena_spinups += s.arena_spinups;
-    result.aggregate.arena_shared_hits += s.arena_shared_hits;
-    result.aggregate.vm_condition_evals += s.vm_condition_evals;
-    result.aggregate.tree_condition_evals += s.tree_condition_evals;
-    result.aggregate.steal_slice_shrinks += s.steal_slice_shrinks;
-    result.aggregate.snapshots_written += s.snapshots_written;
-    result.aggregate.records_truncated += s.records_truncated;
-    result.aggregate.recovery_records_replayed += s.recovery_records_replayed;
+    result.aggregate.Add(s);
     result.instances_finished += s.instances_finished;
     for (const Engine::FailedInstance& f : engine.FailedInstances()) {
       result.failed_instances.push_back(
@@ -293,8 +237,8 @@ void EngineFleet::RunStealing(
       Engine* engine = engines_[e].get();
       int self = static_cast<int>(e);
 
-      // Phase 1: spin every seed up front (cheap with the arena), so load
-      // is visible to thieves from the first slice.
+      // Phase 1: spin every seed up front (one copy of the plan's spin-up
+      // image each), so load is visible to thieves from the first slice.
       bool engine_dead = false;
       for (const BatchSeed* seed : assigned[e]) {
         auto id = engine->StartProcess(seed->process, seed->input);

@@ -23,7 +23,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -153,14 +152,6 @@ class EngineFleet {
   std::vector<std::vector<const BatchSeed*>> AssignSeeds(
       const std::vector<BatchSeed>& seeds) const;
 
-  /// Builds one fleet-owned InstanceArena per definition a batch can
-  /// reach (seed processes plus their transitive subprocess closure) and
-  /// registers it with every engine, so N engines spin instances up from
-  /// one image instead of building N private copies. Runs single-threaded
-  /// before the workers launch; arenas are immutable afterwards. Arenas
-  /// persist across batches and are only built once per definition.
-  Status PrepareArenas(const std::vector<BatchSeed>& seeds);
-
   /// The scheduler: one worker thread per engine starts that engine's
   /// seeds, then drives it in slices and steals when idle.
   void RunStealing(const std::vector<std::vector<const BatchSeed*>>& assigned,
@@ -174,12 +165,6 @@ class EngineFleet {
   std::vector<wfjournal::Journal*> journals_;
   /// Backing storage for OpenJournalShards.
   std::vector<std::unique_ptr<wfjournal::FileJournal>> owned_journals_;
-  /// Fleet-owned spin-up arenas, one per reachable definition
-  /// (PrepareArenas); unique_ptr for address stability — engines hold
-  /// raw pointers.
-  std::unordered_map<const wf::ProcessDefinition*,
-                     std::unique_ptr<InstanceArena>>
-      arenas_;
 };
 
 }  // namespace exotica::wfrt

@@ -24,8 +24,6 @@
 
 namespace exotica::wfrt {
 
-class InstanceArena;
-
 // The packed state plane stores one byte per activity; a wider enum would
 // silently truncate.
 static_assert(static_cast<int>(wf::ActivityState::kDead) <= 0xFF,
@@ -36,7 +34,7 @@ static_assert(static_cast<int>(wf::ActivityState::kWaiting) == 0,
 
 /// \brief Cold per-activity sidecar: everything the sweep never reads.
 /// Containers start default-constructed (no layout, no refcount traffic
-/// at spin-up) and are materialized from the arena prototypes on first
+/// at spin-up) and are materialized from the plan's prototypes on first
 /// touch — a pristine container and a default-constructed one serialize
 /// identically, so images stay byte-identical either way.
 struct ActivityCold {
@@ -52,7 +50,9 @@ struct ProcessInstance {
   /// Dense index of this instance in the engine (creation order).
   uint32_t index = 0;
   const wf::ProcessDefinition* definition = nullptr;
-  /// The definition's compiled plan (owned by the definition).
+  /// The definition's compiled plan (owned by the definition): topology,
+  /// condition programs, and the spin-up image the instance was built
+  /// from and materializes cold containers from.
   const wf::NavigationPlan* plan = nullptr;
 
   data::Container input;
@@ -60,13 +60,10 @@ struct ProcessInstance {
 
   /// The contiguous hot block (plan->hot() offsets) and the cold sidecar.
   /// `hl` is a by-value copy of the plan's HotLayout so the accessors
-  /// below read plane bases without chasing through the plan. `arena`
-  /// points at the spin-up arena whose container prototypes materialize
-  /// cold containers on first touch.
+  /// below read plane bases without chasing through the plan.
   wf::HotLayout hl;
   std::vector<uint8_t> hot;
   std::vector<ActivityCold> cold;
-  const InstanceArena* arena = nullptr;
 
   /// Count of activities in kTerminated or kDead — the instance is
   /// finished when every activity is settled, and the counter makes that

@@ -46,18 +46,24 @@ std::string DetachedInstance::EncodePayload() const {
   return out;
 }
 
+bool DetachedInstance::DecodeImages(const std::string& payload,
+                                    std::vector<std::string>* images) {
+  for (const std::string& line : Split(payload, '\n')) {
+    if (line.empty()) continue;
+    std::string image;
+    if (!UnescapeQuoted(line, &image)) return false;
+    images->push_back(std::move(image));
+  }
+  return true;
+}
+
 Result<DetachedInstance> DetachedInstance::DecodePayload(
     const std::string& root_id, const std::string& payload) {
   DetachedInstance d;
   d.root_id = root_id;
-  for (const std::string& line : Split(payload, '\n')) {
-    if (line.empty()) continue;
-    std::string image;
-    if (!UnescapeQuoted(line, &image)) {
-      return Status::Corruption("bad escape in detached-instance payload for " +
-                                root_id);
-    }
-    d.images.push_back(std::move(image));
+  if (!DecodeImages(payload, &d.images)) {
+    return Status::Corruption("bad escape in detached-instance payload for " +
+                              root_id);
   }
   if (d.images.empty()) {
     return Status::Corruption("empty detached-instance payload for " + root_id);

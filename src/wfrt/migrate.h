@@ -40,10 +40,17 @@ struct DetachedInstance {
   std::vector<std::string> images;
 
   /// Single-string form carried in journal records (one escaped image per
-  /// line).
+  /// line). kSnapshot records carry the same form.
   std::string EncodePayload() const;
+  /// Inverse of EncodePayload; Corruption on a bad escape or an empty
+  /// payload.
   static Result<DetachedInstance> DecodePayload(const std::string& root_id,
                                                 const std::string& payload);
+  /// The line decoder under DecodePayload, for payloads that may list no
+  /// image (a snapshot of an engine with nothing live). False on a bad
+  /// escape.
+  static bool DecodeImages(const std::string& payload,
+                           std::vector<std::string>* images);
 };
 
 /// \brief Decoded form of one family member's image.

@@ -178,14 +178,28 @@ TEST_F(CompileTest, EvaluateBoolRejectsNonBooleanResult) {
             std::string::npos);
 }
 
-TEST_F(CompileTest, DeepExpressionOverflowsToUnsupported) {
+TEST_F(CompileTest, DeepExpressionCompilesAndMatchesTreeWalk) {
   // Right-leaning additions of identifiers: each level needs one more
-  // stack slot, and identifiers prevent folding.
+  // stack slot, and identifiers prevent folding. Depth is unbounded: 80
+  // levels compile to an 81-slot program that runs on the heap stack and
+  // agrees with the tree-walk, value and error alike.
   std::string src = "i";
   for (int i = 0; i < 80; ++i) src = "i + (" + src + ")";
-  auto prog = Compile(src);
-  ASSERT_FALSE(prog.ok());
-  EXPECT_TRUE(prog.status().IsUnsupported());
+  for (const std::string& cond : {src + " = 486", src + " + s"}) {
+    auto prog = Compile(cond);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    EXPECT_EQ(prog->max_stack(), 81u);
+    ContainerResolver resolver(*container_);
+    Result<Value> tree = Evaluate(*node_, resolver);
+    Result<Value> vm = prog->Evaluate(*container_);
+    ASSERT_EQ(tree.ok(), vm.ok());
+    if (tree.ok()) {
+      EXPECT_EQ(*vm, Value(true));
+      EXPECT_EQ(*tree, *vm);
+    } else {
+      EXPECT_EQ(tree.status().ToString(), vm.status().ToString());
+    }
+  }
 }
 
 TEST_F(CompileTest, SourceIsCanonicalRootText) {

@@ -127,8 +127,8 @@ TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
     data::Container container = RandomContainer(&rng);
 
     auto prog = ConditionCompiler::Compile(node.get(), container);
-    // Every identifier the generator emits exists in Fuzz and depth is
-    // bounded, so compilation must always succeed.
+    // Every identifier the generator emits exists in Fuzz, so compilation
+    // must always succeed.
     ASSERT_TRUE(prog.ok()) << node->ToString() << ": "
                            << prog.status().ToString();
     ++compiled;
@@ -195,6 +195,67 @@ TEST_F(VmDifferentialTest, BoolCoercionAgreesUnderEvaluateBool) {
           << node->ToString();
     }
   }
+}
+
+TEST_F(VmDifferentialTest, ExpressionsDeeperThanSixtyFourSlotsAgree) {
+  // Right-leaning chains of 65-100 levels need more value-stack slots
+  // than any inline stack, so the VM runs them on its heap stack. Chain
+  // operators are + and -, which keep the sums small (no int64 overflow);
+  // about one operand in a hundred is a random subexpression, so the
+  // type and unset-data error paths show up at every depth.
+  Rng rng(20261019);
+  ExprGen gen(&rng);
+  auto operand = [&]() -> NodePtr {
+    switch (rng.Uniform(0, 99)) {
+      case 0: return gen.Gen(1);
+      case 1: case 2: case 3: case 4:
+        return Node::Literal(Value(rng.Uniform(-3, 3)));
+      case 5: case 6: return Node::Literal(Value(0.5 * rng.Uniform(-6, 6)));
+      default: {
+        static constexpr const char* kNumeric[] = {"la", "lb", "fa", "fb"};
+        return Node::Identifier(kNumeric[rng.Uniform(0, 3)]);
+      }
+    }
+  };
+
+  int agreed_values = 0, agreed_errors = 0;
+  for (int i = 0; i < 400; ++i) {
+    const int levels = static_cast<int>(rng.Uniform(65, 100));
+    NodePtr node = operand();
+    for (int l = 0; l < levels; ++l) {
+      node = Node::Binary(rng.Bernoulli(0.5) ? BinaryOp::kAdd : BinaryOp::kSub,
+                          operand(), std::move(node));
+    }
+    if (rng.Bernoulli(0.5)) {  // a boolean condition, as plans compile
+      node = Node::Binary(rng.Bernoulli(0.5) ? BinaryOp::kLt : BinaryOp::kGe,
+                          std::move(node),
+                          Node::Literal(Value(rng.Uniform(-20, 20))));
+    }
+    data::Container container = RandomContainer(&rng);
+
+    auto prog = ConditionCompiler::Compile(node.get(), container);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    ASSERT_GT(prog->max_stack(), 64u) << node->ToString();
+
+    ContainerResolver resolver(container);
+    Result<Value> tree = Evaluate(*node, resolver);
+    Result<Value> vm = prog->Evaluate(container);
+    ASSERT_EQ(tree.ok(), vm.ok())
+        << node->ToString() << "\n tree: "
+        << (tree.ok() ? tree->ToString() : tree.status().ToString())
+        << "\n vm:   " << (vm.ok() ? vm->ToString() : vm.status().ToString());
+    if (tree.ok()) {
+      ASSERT_EQ(*tree, *vm) << node->ToString();
+      ++agreed_values;
+    } else {
+      ASSERT_EQ(tree.status().ToString(), vm.status().ToString())
+          << node->ToString();
+      ++agreed_errors;
+    }
+  }
+  // Both regimes, at depth.
+  EXPECT_GT(agreed_values, 50);
+  EXPECT_GT(agreed_errors, 50);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Engine-level behaviour of the compiled condition VM: registered plans
-// carry slot-bound programs, navigation routes conditions through them
-// (stats prove it), conditions the compiler cannot bind tree-walk with
-// identical traces and errors, and condition errors keep their exact text
-// and transition context.
+// carry slot-bound programs for every condition, navigation routes
+// conditions through them (stats prove it), conditions deeper than 64
+// stack slots run on the VM with traces and errors identical to their
+// shallow forms, and condition errors keep their exact text and
+// transition context.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +23,9 @@ using test::BindScriptedRc;
 using test::DeclareDefaultProgram;
 using wf::ActivityState;
 
-// `cond` AND an always-true clause nested deeper than the VM's value stack
-// (expr::CompiledCondition::kMaxStack), so registration cannot bind the
-// condition and the engine tree-walks it. Same truth value, same errors.
-std::string TreeWalkOnly(const std::string& cond) {
+// `cond` AND an always-true clause nested past 64 value-stack slots, so
+// the VM evaluates it on a heap stack. Same truth value, same errors.
+std::string Padded(const std::string& cond) {
   std::string pad = "RC * 0";
   for (int i = 0; i < 70; ++i) pad = "RC * 0 + (" + pad + ")";
   return "(" + cond + ") AND " + pad + " = 0";
@@ -33,14 +33,12 @@ std::string TreeWalkOnly(const std::string& cond) {
 
 class ConditionVmTest : public ::testing::Test {
  protected:
-  // A -> B -> C with two conditioned connectors. `tree_walk_only` pads
-  // both conditions past the VM so the same definition tree-walks.
+  // A -> B -> C with two conditioned connectors. `padded` pads both
+  // conditions past 64 value-stack slots.
   static void Register(wf::DefinitionStore* store,
                        wfrt::ProgramRegistry* programs, const char* name,
-                       int fail_rc, bool tree_walk_only = false) {
-    auto cond = [&](const std::string& c) {
-      return tree_walk_only ? TreeWalkOnly(c) : c;
-    };
+                       int fail_rc, bool padded = false) {
+    auto cond = [&](const std::string& c) { return padded ? Padded(c) : c; };
     const std::string prog = std::string(name) + "_ok";
     ASSERT_TRUE(DeclareDefaultProgram(store, prog).ok());
     ASSERT_TRUE(BindConstRc(programs, prog, fail_rc).ok());
@@ -79,27 +77,6 @@ TEST_F(ConditionVmTest, RegisteredPlanCarriesCompiledPrograms) {
   EXPECT_TRUE(found_compiled);
 }
 
-TEST_F(ConditionVmTest, LazyPlanWithoutRegistryHasNoPrograms) {
-  // plan() on a hand-built (unregistered) definition has no TypeRegistry,
-  // so every condition keeps the tree-walk fallback.
-  wf::ProcessDefinition def("bare");
-  wf::Activity a;
-  a.name = "A";
-  ASSERT_TRUE(def.AddActivity(a).ok());
-  a.name = "B";
-  ASSERT_TRUE(def.AddActivity(a).ok());
-  wf::ControlConnector c;
-  c.from = "A";
-  c.to = "B";
-  auto cond = expr::Condition::Compile("RC = 0");
-  ASSERT_TRUE(cond.ok());
-  c.condition = *cond;
-  ASSERT_TRUE(def.AddControlConnector(c).ok());
-  const wf::NavigationPlan& plan = def.plan();
-  EXPECT_EQ(plan.vm_program_count(), 0u);
-  EXPECT_EQ(plan.connector(0).cond_vm, -1);
-}
-
 TEST_F(ConditionVmTest, NavigationUsesVmAndCountsIt) {
   Register("p", 0);
   wfrt::Engine engine(&store_, &programs_);
@@ -110,40 +87,47 @@ TEST_F(ConditionVmTest, NavigationUsesVmAndCountsIt) {
   EXPECT_EQ(engine.stats().tree_condition_evals, 0u);
 }
 
-TEST_F(ConditionVmTest, VmAndTreeWalkProduceIdenticalTraces) {
-  // The same definition twice: bound to VM programs, and padded past the
-  // VM so the engine's tree-walk fallback runs every condition.
-  wf::DefinitionStore tree_store;
-  wfrt::ProgramRegistry tree_programs;
+TEST_F(ConditionVmTest, PaddedAndShallowConditionsProduceIdenticalTraces) {
+  // The same definition twice: as written, and padded past 64 value-stack
+  // slots. Registration compiles both; the padded programs run on the
+  // VM's heap stack.
+  wf::DefinitionStore deep_store;
+  wfrt::ProgramRegistry deep_programs;
   for (int rc : {0, 1}) {  // rc=1: first connector false → B, C dead via DPE
     SCOPED_TRACE("rc=" + std::to_string(rc));
     const std::string name = "p" + std::to_string(rc);
     Register(&store_, &programs_, name.c_str(), rc);
-    Register(&tree_store, &tree_programs, name.c_str(), rc,
-             /*tree_walk_only=*/true);
-    auto tree_def = tree_store.FindProcess(name);
-    ASSERT_TRUE(tree_def.ok());
-    EXPECT_EQ((*tree_def)->plan().vm_program_count(), 0u);
+    Register(&deep_store, &deep_programs, name.c_str(), rc, /*padded=*/true);
+    auto deep_def = deep_store.FindProcess(name);
+    ASSERT_TRUE(deep_def.ok());
+    const wf::NavigationPlan& deep_plan = (*deep_def)->plan();
+    ASSERT_EQ(deep_plan.vm_program_count(), 2u);
+    for (uint32_t c = 0; c < 2; ++c) {
+      EXPECT_GT(deep_plan.vm_program(deep_plan.connector(c).cond_vm)
+                    .max_stack(),
+                64u);
+    }
 
-    wfrt::Engine vm(&store_, &programs_);
-    wfrt::Engine tree(&tree_store, &tree_programs);
-    auto vm_id = vm.RunToCompletion(name);
-    auto tree_id = tree.RunToCompletion(name);
-    ASSERT_TRUE(vm_id.ok()) << vm_id.status().ToString();
-    ASSERT_TRUE(tree_id.ok()) << tree_id.status().ToString();
-    EXPECT_GT(vm.stats().vm_condition_evals, 0u);
-    EXPECT_EQ(vm.stats().tree_condition_evals, 0u);
-    EXPECT_EQ(tree.stats().vm_condition_evals, 0u);
-    EXPECT_GT(tree.stats().tree_condition_evals, 0u);
-    EXPECT_EQ(vm.stats().connectors_evaluated,
-              tree.stats().connectors_evaluated);
+    wfrt::Engine shallow(&store_, &programs_);
+    wfrt::Engine deep(&deep_store, &deep_programs);
+    auto shallow_id = shallow.RunToCompletion(name);
+    auto deep_id = deep.RunToCompletion(name);
+    ASSERT_TRUE(shallow_id.ok()) << shallow_id.status().ToString();
+    ASSERT_TRUE(deep_id.ok()) << deep_id.status().ToString();
+    EXPECT_GT(shallow.stats().vm_condition_evals, 0u);
+    EXPECT_EQ(deep.stats().vm_condition_evals,
+              shallow.stats().vm_condition_evals);
+    EXPECT_EQ(shallow.stats().tree_condition_evals, 0u);
+    EXPECT_EQ(deep.stats().tree_condition_evals, 0u);
+    EXPECT_EQ(shallow.stats().connectors_evaluated,
+              deep.stats().connectors_evaluated);
     // Byte-identical navigation, event for event.
-    EXPECT_EQ(vm.audit().CompactTrace(*vm_id, {}),
-              tree.audit().CompactTrace(*tree_id, {}));
+    EXPECT_EQ(shallow.audit().CompactTrace(*shallow_id, {}),
+              deep.audit().CompactTrace(*deep_id, {}));
     const ActivityState b = rc == 0 ? ActivityState::kTerminated
                                     : ActivityState::kDead;
-    EXPECT_EQ(*vm.StateOf(*vm_id, "B"), b);
-    EXPECT_EQ(*tree.StateOf(*tree_id, "B"), b);
+    EXPECT_EQ(*shallow.StateOf(*shallow_id, "B"), b);
+    EXPECT_EQ(*deep.StateOf(*deep_id, "B"), b);
   }
 }
 
@@ -189,23 +173,24 @@ TEST_F(ConditionVmTest, ConditionErrorIsFalseStillHonoredOnVmPath) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
 
-  // Without the option, navigation fails with the same error on the VM
-  // and on the tree-walk fallback.
+  // Without the option, navigation fails with the same error from the
+  // shallow condition and from its form padded past 64 stack slots.
   wfrt::Engine strict_vm(&store_, &programs_);
   ASSERT_TRUE(strict_vm.StartProcess("err").ok());
   Status vm_err = strict_vm.Run();
   ASSERT_FALSE(vm_err.ok());
   EXPECT_EQ(strict_vm.stats().vm_condition_evals, 1u);
 
-  wf::DefinitionStore tree_store;
-  wfrt::ProgramRegistry tree_programs;
-  register_err(&tree_store, &tree_programs, TreeWalkOnly("RC < \"x\""));
-  wfrt::Engine strict_tree(&tree_store, &tree_programs);
-  ASSERT_TRUE(strict_tree.StartProcess("err").ok());
-  Status tree_err = strict_tree.Run();
-  ASSERT_FALSE(tree_err.ok());
-  EXPECT_EQ(strict_tree.stats().tree_condition_evals, 1u);
-  EXPECT_EQ(vm_err.ToString(), tree_err.ToString());
+  wf::DefinitionStore deep_store;
+  wfrt::ProgramRegistry deep_programs;
+  register_err(&deep_store, &deep_programs, Padded("RC < \"x\""));
+  wfrt::Engine strict_deep(&deep_store, &deep_programs);
+  ASSERT_TRUE(strict_deep.StartProcess("err").ok());
+  Status deep_err = strict_deep.Run();
+  ASSERT_FALSE(deep_err.ok());
+  EXPECT_EQ(strict_deep.stats().vm_condition_evals, 1u);
+  EXPECT_EQ(strict_deep.stats().tree_condition_evals, 0u);
+  EXPECT_EQ(vm_err.ToString(), deep_err.ToString());
 }
 
 // A condition over a member the program never writes: FLAG has no

@@ -13,6 +13,7 @@
 #include "exotica/saga_translate.h"
 #include "txn/multidb.h"
 #include "wf/builder.h"
+#include "wfjournal/journal.h"
 #include "../testutil.h"
 
 namespace exotica {
@@ -34,6 +35,31 @@ atm::SubTxnBody DecrementBody(const std::string& key) {
     int64_t current = v.is_null() ? 0 : v.as_long();
     return t.Put(key, data::Value(current - 1));
   };
+}
+
+// Every instance on every engine of `fleet` — roots, block children,
+// adopted families, instances rebuilt by Recover — runs on its registered
+// definition's one compiled plan: the single spin-up image and condition
+// program set all engines share. Returns the number of instances checked.
+size_t ExpectEveryInstanceOnItsDefinitionsPlan(const wf::DefinitionStore& store,
+                                               wfrt::EngineFleet& fleet) {
+  size_t checked = 0;
+  for (int e = 0; e < fleet.size(); ++e) {
+    wfrt::Engine* engine = fleet.engine(e);
+    for (const std::string& id : engine->instance_order()) {
+      auto inst = engine->FindInstance(id);
+      EXPECT_TRUE(inst.ok()) << id;
+      if (!inst.ok()) continue;
+      const wf::ProcessDefinition* used = (*inst)->definition;
+      auto def = store.FindProcessVersion(used->name(), used->version());
+      EXPECT_TRUE(def.ok()) << id;
+      if (!def.ok()) continue;
+      EXPECT_EQ(used, *def) << id;
+      EXPECT_EQ((*inst)->plan, &(*def)->plan()) << id;
+      ++checked;
+    }
+  }
+  return checked;
 }
 
 TEST(FleetTest, SagaGuaranteeHoldsAcrossConcurrentEngines) {
@@ -109,9 +135,11 @@ TEST(FleetTest, SagaGuaranteeHoldsAcrossConcurrentEngines) {
 }
 
 TEST(FleetTest, SharedArenasCoverSubprocessClosure) {
-  // A batch seeding only the outer process must still serve *inner*
-  // (block) spin-ups from fleet-shared arenas: PrepareArenas walks the
-  // transitive subprocess closure before the workers launch.
+  // A batch seeding only the outer process spins its inner (block)
+  // children up from the inner definition's plan too; so do a family
+  // adopted by another engine and every instance a recovered fleet
+  // rebuilds from its journal shards. No engine builds an image of its
+  // own.
   wf::DefinitionStore store;
   wfrt::ProgramRegistry programs;
   ASSERT_TRUE(test::DeclareDefaultProgram(&store, "ok").ok());
@@ -130,26 +158,58 @@ TEST(FleetTest, SharedArenasCoverSubprocessClosure) {
 
   constexpr int kEngines = 3;
   constexpr int kInstances = 12;
-  wfrt::EngineFleet fleet(&store, &programs, kEngines);
-  auto result = fleet.RunBatch("outer", kInstances);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->ok());
-  // Block children count as instances too: one inner per outer.
-  EXPECT_EQ(result->instances_finished, 2u * kInstances);
-  // One spin-up for each outer instance plus one for each inner block
-  // child — every single one from a shared arena, none private.
-  EXPECT_EQ(result->aggregate.arena_spinups, 2u * kInstances);
-  EXPECT_EQ(result->aggregate.arena_shared_hits, 2u * kInstances);
+  wfjournal::MemoryJournal shard0, shard1, shard2;
+  std::string migrated;
+  {
+    wfrt::EngineFleet fleet(&store, &programs, kEngines);
+    ASSERT_TRUE(fleet.AttachJournals({&shard0, &shard1, &shard2}).ok());
+    auto result = fleet.RunBatch("outer", kInstances);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->ok());
+    // Block children count as instances too: one inner per outer.
+    EXPECT_EQ(result->instances_finished, 2u * kInstances);
+    EXPECT_EQ(result->aggregate.arena_spinups, 2u * kInstances);
+    EXPECT_EQ(ExpectEveryInstanceOnItsDefinitionsPlan(store, fleet),
+              2u * kInstances);
 
-  // A second batch reuses the same arenas without rebuilding.
+    // A family caught inside its block child migrates to engine 1; the
+    // crash below leaves it unfinished there.
+    auto id = fleet.engine(0)->StartProcess("outer");
+    ASSERT_TRUE(id.ok());
+    migrated = *id;
+    bool quiescent = false;
+    ASSERT_TRUE(fleet.engine(0)->RunSlice(3, &quiescent).ok());
+    auto detached = fleet.engine(0)->Detach(migrated);
+    ASSERT_TRUE(detached.ok()) << detached.status().ToString();
+    ASSERT_EQ(detached->images.size(), 2u);  // root + block child
+    ASSERT_TRUE(fleet.engine(1)->Adopt(*detached).ok());
+    EXPECT_EQ(ExpectEveryInstanceOnItsDefinitionsPlan(store, fleet),
+              2u * kInstances + 2u);
+  }  // fleet destroyed = crash; the shards survive
+
+  wfrt::EngineFleet fleet(&store, &programs, kEngines);
+  ASSERT_TRUE(fleet.AttachJournals({&shard0, &shard1, &shard2}).ok());
+  auto report = fleet.Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ExpectEveryInstanceOnItsDefinitionsPlan(store, fleet),
+            2u * kInstances + 2u);
+  auto drive = fleet.RunBatch(std::vector<wfrt::EngineFleet::BatchSeed>{});
+  ASSERT_TRUE(drive.ok()) << drive.status().ToString();
+  EXPECT_TRUE(drive->ok());
+  EXPECT_TRUE(fleet.engine(1)->IsFinished(migrated));
+
+  // A second batch spins up from the same plans.
   auto again = fleet.RunBatch("outer", kEngines);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->ok());
+  EXPECT_EQ(ExpectEveryInstanceOnItsDefinitionsPlan(store, fleet),
+            2u * kInstances + 2u + 2u * kEngines);
 }
 
 TEST(FleetTest, FleetSharesOneArenaPerDefinition) {
-  // Four engines spin instances of one definition up from one fleet-shared
-  // arena and read the plan's compiled condition programs concurrently.
+  // Four engines spin instances of one definition up from the one image
+  // in its plan and read the plan's compiled condition programs
+  // concurrently.
   wf::DefinitionStore store;
   wfrt::ProgramRegistry programs;
   ASSERT_TRUE(test::DeclareDefaultProgram(&store, "ok").ok());
@@ -165,9 +225,8 @@ TEST(FleetTest, FleetSharesOneArenaPerDefinition) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ok());
   EXPECT_EQ(result->instances_finished, 32u);
-  // Every spin-up hit the fleet-shared arena rather than a private one.
   EXPECT_EQ(result->aggregate.arena_spinups, 32u);
-  EXPECT_EQ(result->aggregate.arena_shared_hits, 32u);
+  EXPECT_EQ(ExpectEveryInstanceOnItsDefinitionsPlan(store, fleet), 32u);
   // Two conditions per instance, all on the VM, aggregated across engines.
   EXPECT_EQ(result->aggregate.vm_condition_evals, 64u);
   EXPECT_EQ(result->aggregate.tree_condition_evals, 0u);

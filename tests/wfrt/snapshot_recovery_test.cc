@@ -131,6 +131,42 @@ TEST_F(SnapshotRecoveryTest, CheckpointTruncatesHistoryAndKeepsLiveWork) {
   TempPath("exo_snap_basic.log");
 }
 
+TEST_F(SnapshotRecoveryTest, DuplicateImageInSnapshotFailsRecovery) {
+  // A snapshot of an engine with nothing live replays to an empty engine.
+  MemoryJournal source;
+  wfrt::Engine engine(&store_, &programs_);
+  ASSERT_TRUE(engine.AttachJournal(&source).ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  {
+    wfrt::Engine recovered(&store_, &programs_);
+    ASSERT_TRUE(recovered.AttachJournal(&source).ok());
+    ASSERT_TRUE(recovered.Recover().ok());
+    EXPECT_TRUE(recovered.instance_order().empty());
+  }
+
+  // One live instance, checkpointed: its snapshot lists one image.
+  auto live = engine.StartProcess("chain");
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  auto records = source.ReadAll();
+  ASSERT_TRUE(records.ok());
+  ASSERT_FALSE(records->empty());
+  wfjournal::Record snapshot = records->back();
+  ASSERT_EQ(snapshot.type, EventType::kSnapshot);
+
+  // The same image listed twice must be refused by name, not replayed
+  // into two instances sharing one id (whose programs would both run).
+  snapshot.payload += snapshot.payload;
+  MemoryJournal corrupt;
+  ASSERT_TRUE(corrupt.Append(snapshot).ok());
+  wfrt::Engine recovered(&store_, &programs_);
+  ASSERT_TRUE(recovered.AttachJournal(&corrupt).ok());
+  Status st = recovered.Recover();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find(*live), std::string::npos) << st.ToString();
+}
+
 TEST_F(SnapshotRecoveryTest, SnapshotIntervalCheckpointsAutomatically) {
   std::string path = TempPath("exo_snap_auto.log");
   auto journal = FileJournal::Open(path);
