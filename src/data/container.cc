@@ -66,15 +66,20 @@ void Container::Reset() { values_.clear(); }
 
 std::string Container::Serialize() const {
   std::string out;
-  if (layout_ == nullptr) return out;
+  SerializeTo(&out);
+  return out;
+}
+
+void Container::SerializeTo(std::string* out) const {
+  out->clear();
+  if (layout_ == nullptr) return;
   for (size_t i = 0; i < values_.size(); ++i) {
     if (values_[i].is_null()) continue;
-    out += layout_->paths[i];
-    out += '=';
-    out += values_[i].ToString();
-    out += '\n';
+    out->append(layout_->paths[i]);
+    out->push_back('=');
+    values_[i].AppendTo(out);
+    out->push_back('\n');
   }
-  return out;
 }
 
 Status Container::Deserialize(const std::string& image) {

@@ -98,6 +98,10 @@ class Container {
   /// audit format).
   std::string Serialize() const;
 
+  /// Writes Serialize()'s image over `*out`, reusing its storage: the
+  /// engine serializes every journaled image into one scratch string.
+  void SerializeTo(std::string* out) const;
+
   /// Applies a Serialize()d image on top of the defaults.
   Status Deserialize(const std::string& image);
 

@@ -1,5 +1,6 @@
 #include "data/value.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -33,9 +34,21 @@ Result<double> Value::ToDouble() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
   switch (type()) {
-    case ScalarType::kNull: return "NULL";
-    case ScalarType::kLong: return std::to_string(as_long());
+    case ScalarType::kNull: out->append("NULL"); return;
+    case ScalarType::kLong: {
+      char digits[24];
+      auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), as_long());
+      (void)ec;  // 24 chars hold any int64_t with its sign
+      out->append(digits, end);
+      return;
+    }
     case ScalarType::kFloat: {
       std::string s = StrFormat("%.17g", as_float());
       // Keep floats visually distinct from longs for round-tripping.
@@ -43,12 +56,17 @@ std::string Value::ToString() const {
           s.find("inf") == std::string::npos && s.find("nan") == std::string::npos) {
         s += ".0";
       }
-      return s;
+      out->append(s);
+      return;
     }
-    case ScalarType::kString: return "\"" + EscapeQuoted(as_string()) + "\"";
-    case ScalarType::kBool: return as_bool() ? "TRUE" : "FALSE";
+    case ScalarType::kString:
+      out->push_back('"');
+      AppendEscaped(as_string(), out);
+      out->push_back('"');
+      return;
+    case ScalarType::kBool: out->append(as_bool() ? "TRUE" : "FALSE"); return;
   }
-  return "?";
+  out->append("?");
 }
 
 Result<Value> Value::FromString(const std::string& repr) {

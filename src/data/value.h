@@ -83,6 +83,9 @@ class Value {
   /// Human/debug representation, e.g. `42`, `3.5`, `"abc"`, `TRUE`, `NULL`.
   std::string ToString() const;
 
+  /// Appends ToString() to `out` without building a temporary.
+  void AppendTo(std::string* out) const;
+
   /// Parses the representation produced by ToString. Used by the journal.
   static Result<Value> FromString(const std::string& repr);
 

@@ -81,6 +81,14 @@ Status FaultyJournal::Append(Record record) {
   return Status::Internal("unreachable");
 }
 
+Status FaultyJournal::AppendView(const RecordView& view) {
+  if (append_armed_ && appends_ == fail_append_at_) {
+    return Journal::AppendView(view);  // builds the Record for Append
+  }
+  ++appends_;
+  return inner_->AppendView(view);
+}
+
 Status FaultyJournal::Flush() {
   uint64_t index = flushes_++;
   if (flush_armed_ && index == fail_flush_at_) {

@@ -75,6 +75,9 @@ class FaultyJournal : public Journal {
   uint64_t faults_injected() const { return injected_; }
 
   Status Append(Record record) override;
+  /// Forwards the view to the inner journal unless this is the armed
+  /// append, which goes through Append's fault path as a Record.
+  Status AppendView(const RecordView& view) override;
   Status Flush() override;
   Result<std::vector<Record>> ReadAll() const override {
     return inner_->ReadAll();

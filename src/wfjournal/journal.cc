@@ -202,7 +202,7 @@ class LineReader {
 
 }  // namespace
 
-void Record::EncodeTo(std::string* out) const {
+void RecordView::EncodeTo(uint64_t seq, std::string* out) const {
   AppendNumber(seq, out);
   out->push_back('\t');
   AppendNumber(static_cast<uint64_t>(type), out);
@@ -219,6 +219,8 @@ void Record::EncodeTo(std::string* out) const {
   out->push_back('\t');
   AppendEscaped(extra, out);
 }
+
+void Record::EncodeTo(std::string* out) const { view().EncodeTo(seq, out); }
 
 std::string Record::Encode() const {
   std::string out;
@@ -261,6 +263,18 @@ Status Record::Validate(std::string_view line, uint64_t* seq) {
   }
   if (seq != nullptr) *seq = f.seq;
   return Status::OK();
+}
+
+Status Journal::AppendView(const RecordView& view) {
+  Record r;
+  r.type = view.type;
+  r.instance.assign(view.instance);
+  r.activity.assign(view.activity);
+  r.to.assign(view.to);
+  r.flag = view.flag;
+  r.payload.assign(view.payload);
+  r.extra.assign(view.extra);
+  return Append(std::move(r));
 }
 
 Status MemoryJournal::Append(Record record) {
@@ -374,15 +388,27 @@ FileJournal::~FileJournal() {
 }
 
 Status FileJournal::Append(Record record) {
-  record.seq = next_seq_;
-  record.EncodeTo(&pending_);
+  return FileJournal::AppendView(record.view());
+}
+
+Status FileJournal::AppendView(const RecordView& view) {
+  view.EncodeTo(next_seq_, &pending_);
   pending_ += '\n';
   if (fsync_each_) {
     // Write-through: the record is written and fsynced before returning.
-    // A failed write drops it from the buffer, so its seq is not used.
+    // A failed write drops it from the buffer and cuts the file back to
+    // where it began, so its seq is not used and the next record does not
+    // land on a torn prefix. (pending_ held only this record: every
+    // earlier one was written through or cut away the same way.)
+    const off_t before = ::lseek(fd_, 0, SEEK_END);
     Status written = FlushPending();
     if (!written.ok()) {
       pending_.clear();
+      if (before >= 0 && ::ftruncate(fd_, before) != 0) {
+        return written.WithContext(
+            std::string("cannot cut the torn record from the journal: ") +
+            std::strerror(errno));
+      }
       return written;
     }
     if (::fsync(fd_) != 0) {
@@ -445,8 +471,12 @@ Status FileJournal::FlushPending() const {
     ssize_t n = ::write(fd_, pending_.data() + off, pending_.size() - off);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return Status::IOError("short write to journal " + active_path() + ": " +
-                             std::strerror(errno));
+      Status failed = Status::IOError("short write to journal " +
+                                      active_path() + ": " +
+                                      std::strerror(errno));
+      // What reached the file stays there: keep only the rest.
+      pending_.erase(0, off);
+      return failed;
     }
     off += static_cast<size_t>(n);
   }

@@ -13,7 +13,19 @@
 // reach the file in one write() per Flush() (the engine flushes at every
 // navigation quiescence point). fsync_each requests write-through: each
 // record is written and fsynced individually, preserving the strongest
-// durability setting exactly.
+// durability setting exactly. A write cut short never leaves a malformed
+// line behind: a group commit keeps only the unwritten rest of its batch
+// for the next Flush(), and a write-through append that fails cuts the
+// file back to where the record began.
+//
+// Write path. The engine appends views (AppendView): the record's fields
+// as string_views into names and scratch it already holds, so a step
+// builds no Record. FileJournal encodes a view straight into its
+// group-commit buffer through RecordView::EncodeTo, the encoder behind
+// Record::EncodeTo too, so both paths write the same bytes. Journals that
+// only implement Append(Record) (MemoryJournal, decorators) get views
+// through the default AppendView, which builds the Record. See
+// docs/specs/event_spine.md.
 //
 // Long-lived engines checkpoint: a kSnapshot record carries the full set
 // of live-instance images, and everything behind it can be discarded.
@@ -83,6 +95,31 @@ enum class EventType : int {
 
 const char* EventTypeName(EventType type);
 
+/// \brief One journal record's fields as views, unescaped as in Record:
+/// what the engine appends without building a Record (see AppendView).
+struct RecordView {
+  RecordView() = default;
+  RecordView(EventType type, std::string_view instance,
+             std::string_view activity = {}, std::string_view to = {},
+             bool flag = false, std::string_view payload = {},
+             std::string_view extra = {})
+      : type(type), instance(instance), activity(activity), to(to),
+        flag(flag), payload(payload), extra(extra) {}
+
+  EventType type = EventType::kInstanceStart;
+  std::string_view instance;
+  std::string_view activity;
+  std::string_view to;
+  bool flag = false;
+  std::string_view payload;
+  std::string_view extra;
+
+  /// Appends the record's encoding under `seq` to `out` (no newline):
+  /// the one text encoder, behind Record::EncodeTo and every FileJournal
+  /// append.
+  void EncodeTo(uint64_t seq, std::string* out) const;
+};
+
 /// \brief One journal record.
 struct Record {
   uint64_t seq = 0;            ///< assigned by the journal on append
@@ -93,6 +130,11 @@ struct Record {
   bool flag = false;           ///< connector evaluation result
   std::string payload;         ///< container image / process name / child id
   std::string extra;           ///< second payload (instance input image)
+
+  /// Views of this record's fields (valid while the record is).
+  RecordView view() const {
+    return {type, instance, activity, to, flag, payload, extra};
+  }
 
   /// Tab-separated single-line encoding (payloads escaped).
   std::string Encode() const;
@@ -124,6 +166,12 @@ class Journal {
   /// record may be buffered until Flush(); with fsync_each it is durable
   /// on return.
   virtual Status Append(Record record) = 0;
+
+  /// Appends the record `view` describes, exactly as Append would append
+  /// the Record built from it. The default builds that Record and calls
+  /// Append, so a journal or decorator that implements only Append sees
+  /// every record; FileJournal encodes the view without building one.
+  virtual Status AppendView(const RecordView& view);
 
   /// Pushes buffered appends to the backing store (group commit). No-op
   /// for journals that write through.
@@ -202,6 +250,10 @@ class FileJournal : public Journal {
   ~FileJournal() override;
 
   Status Append(Record record) override;
+  /// Encodes `view` under the next seq into the group-commit buffer, then
+  /// writes it through (fsync_each) or leaves it for Flush(). Append
+  /// comes through here too.
+  Status AppendView(const RecordView& view) override;
   Status Flush() override;
   Result<std::vector<Record>> ReadAll() const override;
   Status Visit(const RecordVisitor& visitor) const override;
@@ -228,8 +280,11 @@ class FileJournal : public Journal {
   /// seq-0 segment when present) and orders them by start seq.
   Status LoadSegments();
 
-  /// One write() for everything pending. Const so readers can flush
-  /// before scanning the file (pending_ is the only thing mutated).
+  /// Writes everything pending (one write() unless the kernel takes less).
+  /// On a failed write the bytes already written leave pending_, so a
+  /// retry completes the torn record in place instead of writing its
+  /// prefix twice. Const so readers can flush before scanning the file
+  /// (pending_ is the only thing mutated).
   Status FlushPending() const;
 
   /// Scans one segment through a bounded read buffer. With a null

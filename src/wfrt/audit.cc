@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "wf/process.h"
+
 namespace exotica::wfrt {
 
 const char* AuditKindName(AuditKind kind) {
@@ -30,6 +32,78 @@ const char* AuditKindName(AuditKind kind) {
     case AuditKind::kCheckpoint: return "checkpoint";
   }
   return "?";
+}
+
+const char* AuditTextString(AuditText text) {
+  switch (text) {
+    case AuditText::kProgramFailure: return "program-failure";
+    case AuditText::kExitCondition: return "exit-condition";
+    case AuditText::kRecovery: return "recovery";
+    case AuditText::kAsync: return "async";
+    case AuditText::kCancelled: return "cancelled";
+    case AuditText::kFailed: return "failed";
+    case AuditText::kReady: return "ready";
+    case AuditText::kWasRunning: return "was running";
+    case AuditText::kWasFinished: return "was finished";
+  }
+  return "?";
+}
+
+void AuditRing::Drop(size_t n) {
+  size_t owned = 0;
+  for (size_t i = 0; i < n; ++i) {
+    owned += events_[i].detail == AuditDetail::kOwned;
+  }
+  events_.erase(events_.begin(), events_.begin() + static_cast<ptrdiff_t>(n));
+  owned_.erase(owned_.begin(), owned_.begin() + static_cast<ptrdiff_t>(owned));
+  owned_base_ += owned;
+}
+
+AuditEvent AuditRing::Render(const RingEvent& event) const {
+  AuditEvent out;
+  out.at = event.at;
+  out.kind = static_cast<AuditKind>(event.kind);
+  const Name* name =
+      event.instance == RingEvent::kNone ? nullptr : &names_[event.instance];
+  if (name != nullptr) out.instance = name->id;
+  if (event.activity != RingEvent::kNone) {
+    out.activity = name->definition->activities()[event.activity].name;
+  }
+  switch (event.detail) {
+    case AuditDetail::kNone:
+      break;
+    case AuditDetail::kNumber:
+      out.detail = std::to_string(event.aux);
+      break;
+    case AuditDetail::kAttempt:
+      out.detail = "attempt=" + std::to_string(event.aux);
+      break;
+    case AuditDetail::kActivity:
+      out.detail = name->definition->activities()[event.aux].name;
+      break;
+    case AuditDetail::kProcess:
+      out.detail = name->definition->name();
+      break;
+    case AuditDetail::kBlockChild:
+      out.detail = "block child " + names_[event.aux].id;
+      break;
+    case AuditDetail::kInstances:
+      out.detail = std::to_string(event.aux) + " instances";
+      break;
+    case AuditDetail::kText:
+      out.detail = AuditTextString(static_cast<AuditText>(event.aux));
+      break;
+    case AuditDetail::kOwned:
+      out.detail = owned_[event.aux - owned_base_];
+      break;
+  }
+  return out;
+}
+
+const AuditTrail& AuditRing::trail() const {
+  trail_.Clear();
+  for (const RingEvent& event : events_) trail_.Add(Render(event));
+  return trail_;
 }
 
 std::string AuditEvent::Compact() const {

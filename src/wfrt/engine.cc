@@ -1,6 +1,7 @@
 #include "wfrt/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 
 #include "common/strings.h"
@@ -10,11 +11,13 @@ namespace exotica::wfrt {
 using wf::ActivityState;
 
 namespace {
-// Name of activity `aid` — journal records and audit events still speak
-// names; navigation itself stays on ids.
+// Name of activity `aid` — journal records and rendered audit events
+// still speak names; navigation itself stays on ids.
 inline const std::string& NameOf(const ProcessInstance* inst, uint32_t aid) {
   return inst->definition->activities()[aid].name;
 }
+
+constexpr uint32_t kNoActivity = RingEvent::kNone;
 
 inline const wf::Activity& DefOf(const ProcessInstance* inst, uint32_t aid) {
   return inst->definition->activities()[aid];
@@ -71,23 +74,40 @@ Status Engine::AttachOrganization(const org::Directory* directory) {
   return Status::OK();
 }
 
-Status Engine::JournalAppend(wfjournal::EventType type,
-                             const std::string& instance,
-                             const std::string& activity,
-                             const std::string& to, bool flag,
-                             std::string payload, std::string extra) {
+Status Engine::JournalAppend(const wfjournal::RecordView& view) {
   if (journal_ == nullptr) return Status::OK();
-  wfjournal::Record r;
-  r.type = type;
-  r.instance = instance;
-  r.activity = activity;
-  r.to = to;
-  r.flag = flag;
-  r.payload = std::move(payload);
-  r.extra = std::move(extra);
-  EXO_RETURN_NOT_OK(journal_->Append(std::move(r)));
+  EXO_RETURN_NOT_OK(journal_->AppendView(view));
   ++records_since_snapshot_;
   return Status::OK();
+}
+
+Status Engine::JournalStep(const ProcessInstance* inst, const Step& step,
+                           wfjournal::EventType type) {
+  if (journal_ == nullptr) return Status::OK();
+  wfjournal::RecordView v;
+  v.type = type;
+  v.instance = inst->id;
+  if (step.activity != kNoActivity) v.activity = NameOf(inst, step.activity);
+  char digits[20];
+  switch (type) {
+    case wfjournal::EventType::kActivityStarted: {
+      auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), step.aux);
+      (void)ec;  // 20 digits hold any uint64_t
+      v.payload = std::string_view(digits, static_cast<size_t>(end - digits));
+      break;
+    }
+    case wfjournal::EventType::kActivityRescheduled:
+      v.payload = AuditTextString(static_cast<AuditText>(step.aux));
+      break;
+    case wfjournal::EventType::kConnectorEval:
+      v.to = NameOf(inst, static_cast<uint32_t>(step.aux));
+      v.flag = step.kind == AuditKind::kConnectorTrue;
+      break;
+    default:
+      v.payload = step.payload;
+      break;
+  }
+  return JournalAppend(v);
 }
 
 Status Engine::FlushJournal() {
@@ -95,17 +115,43 @@ Status Engine::FlushJournal() {
   return journal_->Flush();
 }
 
-void Engine::Audit(AuditKind kind, const std::string& instance,
-                   const std::string& activity, std::string detail) {
+uint32_t Engine::AuditRef(ProcessInstance* inst) {
+  if (inst == nullptr || !options_.audit_enabled) return RingEvent::kNone;
+  if (inst->audit_ref == RingEvent::kNone) {
+    inst->audit_ref = audit_.AddName(inst->id, inst->definition);
+  }
+  return inst->audit_ref;
+}
+
+void Engine::Audit(ProcessInstance* inst, const Step& step) {
   if (!options_.audit_enabled) return;
-  AuditEvent e;
+  RingEvent e;
   e.at = clock_->NowMicros();
-  e.kind = kind;
-  e.instance = instance;
+  e.aux = step.aux;
+  e.instance = AuditRef(inst);
+  e.activity = step.activity;
+  e.kind = static_cast<uint8_t>(step.kind);
+  e.detail = step.detail;
+  audit_.Push(e);
+  if (observer_) observer_(audit_.Render(audit_.back()));
+}
+
+void Engine::AuditOwned(ProcessInstance* inst, AuditKind kind,
+                        uint32_t activity, std::string text) {
+  if (!options_.audit_enabled) return;
+  RingEvent e;
+  e.at = clock_->NowMicros();
+  e.instance = AuditRef(inst);
   e.activity = activity;
-  e.detail = std::move(detail);
-  if (observer_) observer_(e);
-  audit_.Add(std::move(e));
+  e.kind = static_cast<uint8_t>(kind);
+  audit_.PushOwned(e, std::move(text));
+  if (observer_) observer_(audit_.Render(audit_.back()));
+}
+
+std::string_view Engine::Image(const data::Container& c) {
+  if (journal_ == nullptr) return {};
+  c.SerializeTo(&image_scratch_);
+  return image_scratch_;
 }
 
 std::string Engine::NewInstanceId() {
@@ -203,15 +249,15 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
   // so recovery replays against the exact definition this instance
   // started with, even if newer versions registered since.
   if (journal_ != nullptr) {
+    const std::string version =
+        "v" + std::to_string(def->version()) + ":" + def->name();
     EXO_RETURN_NOT_OK(JournalAppend(
-        wfjournal::EventType::kInstanceStart, id, parent_activity,
-        parent_instance, /*flag=*/false,
-        "v" + std::to_string(def->version()) + ":" + def->name(),
-        inst.input.Serialize()));
+        {wfjournal::EventType::kInstanceStart, id, parent_activity,
+         parent_instance, /*flag=*/false, version, Image(inst.input)}));
   }
   ProcessInstance* p = CommitInstance(std::move(inst));
   ++stats_.instances_started;
-  Audit(AuditKind::kInstanceStarted, id, "", def->name());
+  Audit(p, {AuditKind::kInstanceStarted, kNoActivity, AuditDetail::kProcess});
 
   if (!parent_instance.empty()) {
     EXO_ASSIGN_OR_RETURN(ProcessInstance* parent,
@@ -294,7 +340,7 @@ Status Engine::PostWorkItem(ProcessInstance* inst, uint32_t aid,
       worklists_->Post(inst->id, def.name, def.role, def.notify_after_micros,
                        def.notify_role));
   inst->work_item(aid) = item;
-  Audit(AuditKind::kWorkItemPosted, inst->id, def.name, std::to_string(item));
+  Audit(inst, {AuditKind::kWorkItemPosted, aid, AuditDetail::kNumber, item});
   return Status::OK();
 }
 
@@ -306,20 +352,16 @@ void Engine::WithdrawWorkItem(ProcessInstance* inst, uint32_t aid,
   // the activity is still unsettled, but recovery can race).
   (void)worklists_->Cancel(*item);
   if (audited) {
-    Audit(AuditKind::kWorkItemCancelled, inst->id, NameOf(inst, aid),
-          std::to_string(*item));
+    Audit(inst,
+          {AuditKind::kWorkItemCancelled, aid, AuditDetail::kNumber, *item});
   }
   item.reset();
 }
 
 Status Engine::MakeReady(ProcessInstance* inst, uint32_t aid) {
   inst->SetState(aid, ActivityState::kReady);
-  const std::string& name = NameOf(inst, aid);
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(
-        JournalAppend(wfjournal::EventType::kActivityReady, inst->id, name));
-  }
-  Audit(AuditKind::kActivityReady, inst->id, name);
+  EXO_RETURN_NOT_OK(Emit(inst, {AuditKind::kActivityReady, aid},
+                         wfjournal::EventType::kActivityReady));
 
   if (inst->plan->activity(aid).manual) {
     return PostWorkItem(inst, aid,
@@ -405,13 +447,11 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
   // attempt must not leak into the next one. One copy of the plan's
   // preformatted prototype instead of a type-registry walk.
   inst->activity_output(aid) = inst->plan->activity_output(aid);
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityStarted,
-                                    inst->id, def.name, "", false,
-                                    std::to_string(attempt)));
-  }
-  Audit(AuditKind::kActivityStarted, inst->id, def.name,
-        "attempt=" + std::to_string(attempt));
+  EXO_RETURN_NOT_OK(Emit(inst,
+                         {AuditKind::kActivityStarted, aid,
+                          AuditDetail::kAttempt,
+                          static_cast<uint64_t>(attempt)},
+                         wfjournal::EventType::kActivityStarted));
   ++stats_.activities_executed;
 
   if (def.is_process()) {
@@ -452,7 +492,7 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
     // activity stays running until CompleteAsync reports the outcome; a
     // crash meanwhile re-runs it from the beginning, the same
     // at-least-once contract as everything else.
-    Audit(AuditKind::kActivityPending, inst->id, def.name, st.message());
+    AuditOwned(inst, AuditKind::kActivityPending, aid, st.message());
     return Status::OK();
   }
   if (!st.ok()) {
@@ -460,12 +500,11 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
   }
 
   inst->failures(aid) = 0;
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityFinished,
-                                    inst->id, def.name, "", false,
-                                    inst->activity_output(aid).Serialize()));
-  }
-  Audit(AuditKind::kActivityFinished, inst->id, def.name);
+  EXO_RETURN_NOT_OK(Emit(inst,
+                         {AuditKind::kActivityFinished, aid,
+                          AuditDetail::kNone, 0,
+                          Image(inst->activity_output(aid))},
+                         wfjournal::EventType::kActivityFinished));
   return HandleFinished(inst, aid);
 }
 
@@ -506,7 +545,7 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
   const std::string& name = NameOf(inst, aid);
   const int32_t failures = ++inst->failures(aid);
   ++stats_.program_failures;
-  Audit(AuditKind::kProgramFailure, inst->id, name, error.ToString());
+  AuditOwned(inst, AuditKind::kProgramFailure, aid, error.ToString());
 
   const RetryPolicy& policy = PolicyFor(name);
   bool permanent = policy.is_permanent
@@ -514,7 +553,7 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
                        : RetryPolicy::DefaultIsPermanent(error);
   if (permanent) {
     ++stats_.permanent_failures;
-    Audit(AuditKind::kPermanentFailure, inst->id, name, error.ToString());
+    AuditOwned(inst, AuditKind::kPermanentFailure, aid, error.ToString());
     return QuarantineInstance(
         inst, StrFormat("activity %s in %s: permanent failure: %s",
                         name.c_str(), inst->id.c_str(),
@@ -545,18 +584,19 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
   if (delay > 0) {
     ++stats_.backoff_waits;
     stats_.backoff_wait_micros += static_cast<uint64_t>(delay);
-    Audit(AuditKind::kRetryBackoff, inst->id, name, std::to_string(delay));
+    Audit(inst, {AuditKind::kRetryBackoff, aid, AuditDetail::kNumber,
+                 static_cast<uint64_t>(delay)});
     if (options_.on_backoff) options_.on_backoff(delay);
   }
   // Program crash: reschedule from the beginning (paper §3.3).
-  return Reschedule(inst, aid, "program-failure");
+  return Reschedule(inst, aid, AuditText::kProgramFailure);
 }
 
 Status Engine::QuarantineInstance(ProcessInstance* inst, std::string reason) {
   EXO_ASSIGN_OR_RETURN(uint32_t root_index, RootIndex(inst));
   ProcessInstance* root = &instances_[root_index];
-  EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kInstanceFailed,
-                                  root->id, "", "", false, reason));
+  EXO_RETURN_NOT_OK(JournalAppend(
+      {wfjournal::EventType::kInstanceFailed, root->id, {}, {}, false, reason}));
   return ApplyFailed(root, reason);
 }
 
@@ -572,7 +612,7 @@ Status Engine::ApplyFailed(ProcessInstance* inst, const std::string& reason) {
     ++stats_.instances_failed;
     failed_.push_back({inst->id, reason});
   }
-  Audit(AuditKind::kInstanceFailed, inst->id, "", reason);
+  AuditOwned(inst, AuditKind::kInstanceFailed, kNoActivity, reason);
   return Status::OK();
 }
 
@@ -599,19 +639,19 @@ Status Engine::HandleFinished(ProcessInstance* inst, uint32_t aid) {
           "activity %s in %s: exit condition still false after %d attempts",
           def.name.c_str(), inst->id.c_str(), attempt));
     }
-    return Reschedule(inst, aid, "exit-condition");
+    return Reschedule(inst, aid, AuditText::kExitCondition);
   }
   return Terminate(inst, aid);
 }
 
 Status Engine::Reschedule(ProcessInstance* inst, uint32_t aid,
-                          const std::string& reason) {
+                          AuditText reason) {
   inst->SetState(aid, ActivityState::kReady);
   ++stats_.reschedules;
-  const std::string& name = NameOf(inst, aid);
-  EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityRescheduled,
-                                  inst->id, name, "", false, reason));
-  Audit(AuditKind::kActivityRescheduled, inst->id, name, reason);
+  EXO_RETURN_NOT_OK(Emit(inst,
+                         {AuditKind::kActivityRescheduled, aid,
+                          AuditDetail::kText, static_cast<uint64_t>(reason)},
+                         wfjournal::EventType::kActivityRescheduled));
 
   if (inst->plan->activity(aid).manual) {
     return PostWorkItem(inst, aid, " rescheduled without worklists");
@@ -622,12 +662,8 @@ Status Engine::Reschedule(ProcessInstance* inst, uint32_t aid,
 
 Status Engine::Terminate(ProcessInstance* inst, uint32_t aid) {
   inst->SetState(aid, ActivityState::kTerminated);
-  const std::string& name = NameOf(inst, aid);
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityTerminated,
-                                    inst->id, name));
-  }
-  Audit(AuditKind::kActivityTerminated, inst->id, name);
+  EXO_RETURN_NOT_OK(Emit(inst, {AuditKind::kActivityTerminated, aid},
+                         wfjournal::EventType::kActivityTerminated));
   EXO_RETURN_NOT_OK(PushData(inst, aid));
   EXO_RETURN_NOT_OK(EvaluateOutgoing(inst, aid, /*all_false=*/false));
   return CheckInstanceCompletion(inst);
@@ -636,12 +672,8 @@ Status Engine::Terminate(ProcessInstance* inst, uint32_t aid) {
 Status Engine::MarkDead(ProcessInstance* inst, uint32_t aid) {
   inst->SetState(aid, ActivityState::kDead);
   ++stats_.dead_path_terminations;
-  const std::string& name = NameOf(inst, aid);
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(
-        JournalAppend(wfjournal::EventType::kActivityDead, inst->id, name));
-  }
-  Audit(AuditKind::kActivityDead, inst->id, name);
+  EXO_RETURN_NOT_OK(Emit(inst, {AuditKind::kActivityDead, aid},
+                         wfjournal::EventType::kActivityDead));
   WithdrawWorkItem(inst, aid);
   EXO_RETURN_NOT_OK(EvaluateOutgoing(inst, aid, /*all_false=*/true));
   return CheckInstanceCompletion(inst);
@@ -677,13 +709,11 @@ Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
   auto record = [&](uint32_t slot, uint32_t cidx, bool value) -> Status {
     inst->out_eval_abs(info.out_eval_base + slot) = value ? 1 : 0;
     ++stats_.connectors_evaluated;
-    const wf::ControlConnector& c = connectors[cidx];
-    if (journal_ != nullptr) {
-      EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kConnectorEval,
-                                      inst->id, c.from, c.to, value));
-    }
-    Audit(value ? AuditKind::kConnectorTrue : AuditKind::kConnectorFalse,
-          inst->id, c.from, c.to);
+    EXO_RETURN_NOT_OK(Emit(
+        inst,
+        {value ? AuditKind::kConnectorTrue : AuditKind::kConnectorFalse, aid,
+         AuditDetail::kActivity, plan.connector(cidx).to},
+        wfjournal::EventType::kConnectorEval));
     fresh.emplace_back(cidx, value);
     return Status::OK();
   };
@@ -797,12 +827,10 @@ Status Engine::CheckInstanceCompletion(ProcessInstance* inst) {
   }
   inst->finished = true;
   ++stats_.instances_finished;
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kInstanceFinished,
-                                    inst->id, "", "", false,
-                                    inst->output.Serialize()));
-  }
-  Audit(AuditKind::kInstanceFinished, inst->id);
+  EXO_RETURN_NOT_OK(Emit(inst,
+                         {AuditKind::kInstanceFinished, kNoActivity,
+                          AuditDetail::kNone, 0, Image(inst->output)},
+                         wfjournal::EventType::kInstanceFinished));
   if (inst->is_child()) return ContinueParent(inst);
   return Status::OK();
 }
@@ -817,13 +845,11 @@ Status Engine::ContinueParent(ProcessInstance* child) {
   }
   data::Container& out = parent->activity_output(static_cast<uint32_t>(aid));
   out = child->output;
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityFinished,
-                                    parent->id, child->parent_activity, "",
-                                    false, out.Serialize()));
-  }
-  Audit(AuditKind::kActivityFinished, parent->id, child->parent_activity,
-        "block child " + child->id);
+  EXO_RETURN_NOT_OK(Emit(parent,
+                         {AuditKind::kActivityFinished,
+                          static_cast<uint32_t>(aid), AuditDetail::kBlockChild,
+                          AuditRef(child), Image(out)},
+                         wfjournal::EventType::kActivityFinished));
   return HandleFinished(parent, static_cast<uint32_t>(aid));
 }
 
@@ -884,12 +910,12 @@ Status Engine::CompleteAsync(const std::string& instance_id,
   data::Container& out = inst->activity_output(static_cast<uint32_t>(aid));
   out = output;
   inst->failures(static_cast<uint32_t>(aid)) = 0;
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityFinished,
-                                    inst->id, activity, "", false,
-                                    out.Serialize()));
-  }
-  Audit(AuditKind::kActivityFinished, inst->id, activity, "async");
+  EXO_RETURN_NOT_OK(Emit(inst,
+                         {AuditKind::kActivityFinished,
+                          static_cast<uint32_t>(aid), AuditDetail::kText,
+                          static_cast<uint64_t>(AuditText::kAsync),
+                          Image(out)},
+                         wfjournal::EventType::kActivityFinished));
   EXO_RETURN_NOT_OK(HandleFinished(inst, static_cast<uint32_t>(aid)));
   return Run();
 }
@@ -914,17 +940,18 @@ Status Engine::ForceFinish(const std::string& instance_id,
   }
   WithdrawWorkItem(inst, uaid);
   const int32_t attempt = ++inst->attempt(uaid);
-  EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityStarted,
-                                  inst->id, activity, "", false,
-                                  std::to_string(attempt)));
+  // Journaled, not audited: the trail shows the forced finish only.
+  EXO_RETURN_NOT_OK(JournalStep(inst,
+                                {AuditKind::kActivityStarted, uaid,
+                                 AuditDetail::kAttempt,
+                                 static_cast<uint64_t>(attempt)},
+                                wfjournal::EventType::kActivityStarted));
   data::Container& out = inst->activity_output(uaid);
   out = output;
-  if (journal_ != nullptr) {
-    EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityFinished,
-                                    inst->id, activity, "", false,
-                                    out.Serialize()));
-  }
-  Audit(AuditKind::kForcedFinish, inst->id, activity);
+  EXO_RETURN_NOT_OK(Emit(inst,
+                         {AuditKind::kForcedFinish, uaid, AuditDetail::kNone,
+                          0, Image(out)},
+                         wfjournal::EventType::kActivityFinished));
   EXO_RETURN_NOT_OK(HandleFinished(inst, static_cast<uint32_t>(aid)));
   return Run();
 }
@@ -955,7 +982,7 @@ Status Engine::SuspendInstance(const std::string& instance_id) {
                                       " already suspended");
   }
   EXO_RETURN_NOT_OK(
-      JournalAppend(wfjournal::EventType::kInstanceSuspended, instance_id));
+      JournalAppend({wfjournal::EventType::kInstanceSuspended, instance_id}));
   EXO_RETURN_NOT_OK(ApplySuspend(inst));
   return FlushJournal();
 }
@@ -986,7 +1013,7 @@ Status Engine::ResumeSuspended(const std::string& instance_id) {
                                       " is not suspended");
   }
   EXO_RETURN_NOT_OK(
-      JournalAppend(wfjournal::EventType::kInstanceResumed, instance_id));
+      JournalAppend({wfjournal::EventType::kInstanceResumed, instance_id}));
   EXO_RETURN_NOT_OK(ApplyResume(inst));
   return FlushJournal();
 }
@@ -1030,7 +1057,7 @@ Status Engine::CancelInstance(const std::string& instance_id) {
                                       " is quarantined");
   }
   EXO_RETURN_NOT_OK(
-      JournalAppend(wfjournal::EventType::kInstanceCancelled, instance_id));
+      JournalAppend({wfjournal::EventType::kInstanceCancelled, instance_id}));
   EXO_RETURN_NOT_OK(ApplyCancel(inst));
   return FlushJournal();
 }
@@ -1041,7 +1068,8 @@ Status Engine::ApplyCancel(ProcessInstance* inst) {
   inst->suspended = false;
   inst->finished = true;
   ++stats_.instances_finished;
-  Audit(AuditKind::kInstanceFinished, inst->id, "", "cancelled");
+  Audit(inst, {AuditKind::kInstanceFinished, kNoActivity, AuditDetail::kText,
+               static_cast<uint64_t>(AuditText::kCancelled)});
   return Status::OK();
 }
 
@@ -1064,8 +1092,9 @@ Status Engine::SettleSweep(ProcessInstance* inst, bool cancel,
     if (ProcessInstance::IsSettled(inst->state(aid))) continue;
     WithdrawWorkItem(inst, aid);
     inst->SetState(aid, ActivityState::kDead);
-    Audit(AuditKind::kActivityDead, inst->id, NameOf(inst, aid),
-          cancel ? "cancelled" : "failed");
+    Audit(inst, {AuditKind::kActivityDead, aid, AuditDetail::kText,
+                 static_cast<uint64_t>(cancel ? AuditText::kCancelled
+                                              : AuditText::kFailed)});
   }
   return Status::OK();
 }
@@ -1197,9 +1226,9 @@ Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
   // Journal + flush the full image *before* releasing the slots: if the
   // handoff dies between here and the adopter's journal, recovery replays
   // this record into detached_images_ and the fleet re-adopts from there.
-  EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kInstanceDetached,
-                                  instance_id, "", "", false,
-                                  detached.EncodePayload()));
+  EXO_RETURN_NOT_OK(JournalAppend({wfjournal::EventType::kInstanceDetached,
+                                   instance_id, {}, {}, false,
+                                   detached.EncodePayload()}));
   EXO_RETURN_NOT_OK(FlushJournal());
   for (const ProcessInstance* m : family) ReleaseSlot(&instances_[m->index]);
   ready_queue_.erase(
@@ -1209,8 +1238,8 @@ Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
                      }),
       ready_queue_.end());
   ++stats_.instances_detached;
-  Audit(AuditKind::kInstanceDetached, instance_id, "",
-        std::to_string(family.size()) + " instances");
+  Audit(root, {AuditKind::kInstanceDetached, kNoActivity,
+               AuditDetail::kInstances, family.size()});
   return detached;
 }
 
@@ -1221,9 +1250,9 @@ Status Engine::Adopt(const DetachedInstance& detached) {
   // record afterwards still keeps this journal self-contained — every
   // later record for the family lands after it.
   EXO_RETURN_NOT_OK(ApplyAdopt(detached));
-  EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kInstanceAdopted,
-                                  detached.root_id, "", "", false,
-                                  detached.EncodePayload()));
+  EXO_RETURN_NOT_OK(JournalAppend({wfjournal::EventType::kInstanceAdopted,
+                                   detached.root_id, {}, {}, false,
+                                   detached.EncodePayload()}));
   return FlushJournal();
 }
 
@@ -1231,8 +1260,8 @@ Status Engine::ApplyAdopt(const DetachedInstance& detached) {
   EXO_ASSIGN_OR_RETURN(std::vector<ProcessInstance*> family,
                        MaterializeImages(detached.images, &detached.root_id));
   ++stats_.instances_stolen;
-  Audit(AuditKind::kInstanceAdopted, detached.root_id, "",
-        std::to_string(family.size()) + " instances");
+  Audit(family.front(), {AuditKind::kInstanceAdopted, kNoActivity,
+                         AuditDetail::kInstances, family.size()});
   return Status::OK();
 }
 
@@ -1407,9 +1436,9 @@ Status Engine::Checkpoint() {
   EXO_RETURN_NOT_OK(FlushJournal());
   EXO_RETURN_NOT_OK(journal_->RotateSegment());
   uint64_t snapshot_seq = journal_->size();
-  EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kSnapshot, "", "", "",
-                                  /*flag=*/false, live.EncodePayload(),
-                                  std::to_string(next_instance_)));
+  EXO_RETURN_NOT_OK(JournalAppend({wfjournal::EventType::kSnapshot, {}, {}, {},
+                                   /*flag=*/false, live.EncodePayload(),
+                                   std::to_string(next_instance_)}));
   EXO_RETURN_NOT_OK(FlushJournal());
   ++stats_.snapshots_written;
   records_since_snapshot_ = 0;
@@ -1419,9 +1448,9 @@ Status Engine::Checkpoint() {
   EXO_ASSIGN_OR_RETURN(uint64_t dropped,
                        journal_->TruncateBefore(snapshot_seq));
   stats_.records_truncated += dropped;
-  Audit(AuditKind::kCheckpoint, "", "",
-        std::to_string(live.images.size()) + " live, " +
-            std::to_string(dropped) + " truncated");
+  AuditOwned(nullptr, AuditKind::kCheckpoint, kNoActivity,
+             std::to_string(live.images.size()) + " live, " +
+                 std::to_string(dropped) + " truncated");
   return Status::OK();
 }
 
@@ -1723,8 +1752,8 @@ Status Engine::ResumeAfterReplay(ProcessInstance* inst) {
         break;
       }
       case ActivityState::kReady: {
-        Audit(AuditKind::kRecoveryResumed, inst->id, NameOf(inst, aid),
-              "ready");
+        Audit(inst, {AuditKind::kRecoveryResumed, aid, AuditDetail::kText,
+                     static_cast<uint64_t>(AuditText::kReady)});
         if (info.manual) {
           EXO_RETURN_NOT_OK(
               PostWorkItem(inst, aid, " recovered without worklists"));
@@ -1747,15 +1776,15 @@ Status Engine::ResumeAfterReplay(ProcessInstance* inst) {
         }
         // In-flight program (or a block whose child was never created):
         // re-run from the beginning — the at-least-once contract.
-        Audit(AuditKind::kRecoveryResumed, inst->id, NameOf(inst, aid),
-              "was running");
-        EXO_RETURN_NOT_OK(Reschedule(inst, aid, "recovery"));
+        Audit(inst, {AuditKind::kRecoveryResumed, aid, AuditDetail::kText,
+                     static_cast<uint64_t>(AuditText::kWasRunning)});
+        EXO_RETURN_NOT_OK(Reschedule(inst, aid, AuditText::kRecovery));
         break;
       }
       case ActivityState::kFinished: {
         // Crash between FINISHED and the exit-condition outcome.
-        Audit(AuditKind::kRecoveryResumed, inst->id, NameOf(inst, aid),
-              "was finished");
+        Audit(inst, {AuditKind::kRecoveryResumed, aid, AuditDetail::kText,
+                     static_cast<uint64_t>(AuditText::kWasFinished)});
         EXO_RETURN_NOT_OK(HandleFinished(inst, aid));
         break;
       }

@@ -6,8 +6,13 @@
 // Navigation runs on the definition's compiled NavigationPlan: activities
 // are dense integer ids, the ready queue holds (instance index, activity
 // id) pairs deduplicated by a per-instance bitmap, and string names appear
-// only at API boundaries, audit events, and journal records (the on-disk
-// journal format is unchanged). Journal writes are group-committed: the
+// only at API boundaries. Each navigation step is described once, as a
+// fixed-size event (kind, instance, activity id, one integer, a payload
+// view), and that one event feeds both records: the journal gets a
+// RecordView of names the engine already holds (no Record is built, and
+// the on-disk text format is unchanged), the audit trail a POD ring entry
+// whose names are rendered only when the trail is read
+// (docs/specs/event_spine.md). Journal writes are group-committed: the
 // attached journal may buffer appends, and the engine flushes at every
 // navigation quiescence point (Run() exit and each public mutation API).
 
@@ -20,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -281,12 +287,18 @@ class Engine {
   Result<wf::ActivityState> StateOf(const std::string& id,
                                     const std::string& activity) const;
 
-  const AuditTrail& audit() const { return audit_; }
+  /// The retained audit events, rendered from the engine's ring on every
+  /// call. The reference stays valid until the engine's next mutating call
+  /// or audit() call; a const call from a second thread is a data race, as
+  /// for any cache.
+  const AuditTrail& audit() const { return audit_.trail(); }
   const EngineStats& stats() const { return stats_; }
 
   /// Live monitoring hook (§3.3): called synchronously for every audit
   /// event as navigation produces it. Keep the callback cheap; it runs on
-  /// the navigation path. Pass nullptr to detach.
+  /// the navigation path, and while one is set every event is rendered
+  /// into an AuditEvent (names copied) to call it with. Pass nullptr to
+  /// detach.
   using AuditObserver = std::function<void(const AuditEvent&)>;
   void SetObserver(AuditObserver observer) {
     observer_ = std::move(observer);
@@ -424,19 +436,61 @@ class Engine {
   Status Recover();
 
  private:
-  // Journaling helper; no-op without a journal. Call sites with expensive
-  // payloads (container serialization) guard on journal_ themselves so the
-  // payload is never built when no journal is attached.
-  Status JournalAppend(wfjournal::EventType type, const std::string& instance,
-                       const std::string& activity = "",
-                       const std::string& to = "", bool flag = false,
-                       std::string payload = "", std::string extra = "");
+  /// One navigation step of an instance, described once
+  /// (docs/specs/event_spine.md): the audit kind, the activity id (or
+  /// RingEvent::kNone), one integer whose meaning `detail` names, and the
+  /// journal payload, only for records that carry one. Journal and audit
+  /// both read it: the record's `to` and flag (connectors), and its
+  /// attempt (started) and reason (rescheduled) payloads come from `aux`.
+  struct Step {
+    Step(AuditKind kind, uint32_t activity = RingEvent::kNone,
+         AuditDetail detail = AuditDetail::kNone, uint64_t aux = 0,
+         std::string_view payload = {})
+        : kind(kind), activity(activity), detail(detail), aux(aux),
+          payload(payload) {}
+
+    AuditKind kind;
+    uint32_t activity;
+    AuditDetail detail;
+    uint64_t aux;
+    std::string_view payload;
+  };
+
+  /// Journals `step` of `inst` as a `type` record, then audits it: where
+  /// a step both journals and audits, this is the one call.
+  Status Emit(ProcessInstance* inst, const Step& step,
+              wfjournal::EventType type) {
+    EXO_RETURN_NOT_OK(JournalStep(inst, step, type));
+    Audit(inst, step);
+    return Status::OK();
+  }
+
+  /// The journal half of Emit; no-op without a journal.
+  Status JournalStep(const ProcessInstance* inst, const Step& step,
+                     wfjournal::EventType type);
+
+  /// The audit half of Emit; no-op with audit off. Renders the event for
+  /// the observer only while one is set.
+  void Audit(ProcessInstance* inst, const Step& step);
+
+  /// Audits an event whose detail is free text (errors, reasons).
+  void AuditOwned(ProcessInstance* inst, AuditKind kind, uint32_t activity,
+                  std::string text);
+
+  /// Appends a record that is not an instance step (starts, lifecycle,
+  /// migration, snapshots); no-op without a journal.
+  Status JournalAppend(const wfjournal::RecordView& view);
+
+  /// `inst`'s ref in the audit ring's name table, added on first use;
+  /// RingEvent::kNone for no instance or with audit off.
+  uint32_t AuditRef(ProcessInstance* inst);
+
+  /// `c`'s image serialized into the engine's scratch when a journal is
+  /// attached (empty otherwise): the payload view of the next step only.
+  std::string_view Image(const data::Container& c);
 
   /// Flushes group-committed journal writes; no-op without a journal.
   Status FlushJournal();
-
-  void Audit(AuditKind kind, const std::string& instance,
-             const std::string& activity = "", std::string detail = "");
 
   std::string NewInstanceId();
   Result<ProcessInstance*> MutableInstance(const std::string& id);
@@ -551,8 +605,7 @@ class Engine {
   /// Post-execution: exit condition check → terminate or reschedule.
   Status HandleFinished(ProcessInstance* inst, uint32_t aid);
 
-  Status Reschedule(ProcessInstance* inst, uint32_t aid,
-                    const std::string& reason);
+  Status Reschedule(ProcessInstance* inst, uint32_t aid, AuditText reason);
 
   Status Terminate(ProcessInstance* inst, uint32_t aid);
 
@@ -642,8 +695,10 @@ class Engine {
   /// pool.
   std::vector<std::pair<uint32_t, bool>> fresh_scratch_;
 
-  AuditTrail audit_;
+  AuditRing audit_;
   AuditObserver observer_;
+  /// Reused for every journaled container image (see Image()).
+  std::string image_scratch_;
   EngineStats stats_;
   std::vector<FailedInstance> failed_;
   bool recovering_ = false;

@@ -116,10 +116,13 @@ class EngineFleet {
   Status AttachJournals(const std::vector<wfjournal::Journal*>& journals);
 
   /// Opens (creating if necessary) one segmented FileJournal shard per
-  /// engine at `<base_path>.e<i>` and attaches them. The fleet owns these
-  /// journals. Shard ↔ engine pairing is positional, so reopening the
-  /// same base path with the same fleet size after a crash hands every
-  /// engine its own history back.
+  /// engine at `<base_path>.e<i>`, each on its own thread (as Recover
+  /// replays them), and attaches them. The fleet owns these journals. A
+  /// shard that fails to open fails the call with its path in the message
+  /// (the lowest failing shard when several do), and nothing is attached.
+  /// Shard ↔ engine pairing is positional, so reopening the same base path
+  /// with the same fleet size after a crash hands every engine its own
+  /// history back.
   Status OpenJournalShards(const std::string& base_path,
                            bool fsync_each = false);
 

@@ -6,7 +6,8 @@
 // sidecar (`cold`) holding the containers, work items, and child links
 // that navigation only touches when an activity actually starts or posts
 // work. The state sweep then reads a dense byte array. String names
-// appear only at API boundaries, audit events, and journal records.
+// appear only at API boundaries and when the journal encodes a step or
+// the audit trail is rendered (docs/specs/event_spine.md).
 
 #ifndef EXOTICA_WFRT_INSTANCE_H_
 #define EXOTICA_WFRT_INSTANCE_H_
@@ -49,6 +50,9 @@ struct ProcessInstance {
   std::string id;
   /// Dense index of this instance in the engine (creation order).
   uint32_t index = 0;
+  /// Ref of `id` in the engine's audit name table, added when the
+  /// instance is first audited (UINT32_MAX until then).
+  uint32_t audit_ref = UINT32_MAX;
   const wf::ProcessDefinition* definition = nullptr;
   /// The definition's compiled plan (owned by the definition): topology,
   /// condition programs, and the spin-up image the instance was built

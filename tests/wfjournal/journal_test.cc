@@ -1,5 +1,8 @@
 #include "wfjournal/journal.h"
 
+#include <signal.h>
+#include <sys/resource.h>
+
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -137,6 +140,103 @@ TEST(FileJournalTest, DestructorFlushesBufferedAppends) {
   auto j = FileJournal::Open(path);
   ASSERT_TRUE(j.ok());
   EXPECT_EQ((*j)->size(), 1u);
+  std::remove(path.c_str());
+}
+
+/// Caps this process's file size at `limit` bytes with SIGXFSZ ignored,
+/// so a write across the cap is cut short and the next one fails with
+/// EFBIG instead of killing the test. Restores the old limit and the old
+/// SIGXFSZ disposition when it goes out of scope.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t limit) {
+    struct sigaction ignore = {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ok_ = getrlimit(RLIMIT_FSIZE, &old_limit_) == 0 &&
+          sigaction(SIGXFSZ, &ignore, &old_action_) == 0;
+    struct rlimit capped = old_limit_;
+    capped.rlim_cur = static_cast<rlim_t>(limit);
+    ok_ = ok_ && setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &old_limit_);
+    sigaction(SIGXFSZ, &old_action_, nullptr);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  struct rlimit old_limit_ = {};
+  struct sigaction old_action_ = {};
+  bool ok_ = false;
+};
+
+TEST(FileJournalTest, CutShortGroupCommitCompletesOnRetry) {
+  // A flush the kernel cuts short must keep only the unwritten rest of
+  // the batch, so the retry completes the torn record in place instead of
+  // writing its prefix a second time (a malformed line mid-file).
+  std::string path = ::testing::TempDir() + "/exo_journal_cutshort.log";
+  std::remove(path.c_str());
+  auto j = FileJournal::Open(path);
+  ASSERT_TRUE(j.ok());
+  ASSERT_TRUE((*j)->Append(MakeRecord(EventType::kInstanceStart, "wf-1")).ok());
+  ASSERT_TRUE((*j)->Flush().ok());
+  const uint64_t before = FileSize(path);
+  ASSERT_TRUE((*j)->Append(MakeRecord(EventType::kActivityReady, "wf-1")).ok());
+  {
+    FileSizeCap cap(before + 20);
+    ASSERT_TRUE(cap.ok());
+    Status cut = (*j)->Flush();
+    EXPECT_TRUE(cut.IsIOError()) << cut.ToString();
+    EXPECT_EQ(FileSize(path), before + 20);  // a torn prefix reached disk
+  }
+  ASSERT_TRUE((*j)->Flush().ok());  // the retry completes it
+  ASSERT_TRUE((*j)->Append(MakeRecord(EventType::kActivityDead, "wf-1")).ok());
+  ASSERT_TRUE((*j)->Flush().ok());
+  j->reset();
+
+  // A doubled prefix would be a malformed line mid-file: Corruption.
+  auto reopened = FileJournal::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto all = (*reopened)->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 3u);
+  EXPECT_EQ((*all)[1].type, EventType::kActivityReady);
+  EXPECT_EQ((*all)[1].payload, "RC=0\nState_1=1\n");
+  EXPECT_EQ((*all)[2].type, EventType::kActivityDead);
+  std::remove(path.c_str());
+}
+
+TEST(FileJournalTest, CutShortWriteThroughLeavesNoTornPrefix) {
+  // A write-through append that fails part-way must cut the file back:
+  // its seq is not used, and the next acknowledged record must not be
+  // glued onto the torn prefix (Open would cut the merged line as a tail).
+  std::string path = ::testing::TempDir() + "/exo_journal_cutshort_ws.log";
+  std::remove(path.c_str());
+  auto j = FileJournal::Open(path, /*fsync_each=*/true);
+  ASSERT_TRUE(j.ok());
+  ASSERT_TRUE((*j)->Append(MakeRecord(EventType::kInstanceStart, "wf-1")).ok());
+  const uint64_t before = FileSize(path);
+  {
+    FileSizeCap cap(before + 20);
+    ASSERT_TRUE(cap.ok());
+    Status cut = (*j)->Append(MakeRecord(EventType::kActivityReady, "wf-1"));
+    EXPECT_TRUE(cut.IsIOError()) << cut.ToString();
+  }
+  EXPECT_EQ(FileSize(path), before);
+  EXPECT_EQ((*j)->size(), 1u);
+  ASSERT_TRUE((*j)->Append(MakeRecord(EventType::kActivityDead, "wf-1")).ok());
+  j->reset();
+
+  auto reopened = FileJournal::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto all = (*reopened)->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 2u);
+  EXPECT_EQ((*all)[1].seq, 1u);
+  EXPECT_EQ((*all)[1].type, EventType::kActivityDead);
   std::remove(path.c_str());
 }
 

@@ -397,6 +397,39 @@ TEST_F(FleetRecoveryTest, ShardedJournalsRecoverInParallel) {
   RemoveShards(base, kEngines);
 }
 
+TEST_F(FleetRecoveryTest, CorruptShardFailsOpenAndIsNamed) {
+  const int kEngines = 3;
+  std::string base = ::testing::TempDir() + "/exo_fleet_corrupt.log";
+  RemoveShards(base, kEngines);
+  {
+    wfrt::EngineFleet fleet(&store_, &programs_, kEngines);
+    ASSERT_TRUE(fleet.OpenJournalShards(base).ok());
+    auto result = fleet.RunBatch("chain", 6);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  // Garbage ahead of well-formed records is corruption, not a torn tail.
+  // Shards 1 and 2 both get it; shard order decides which one is named.
+  for (int e : {1, 2}) {
+    std::string path = base + ".e" + std::to_string(e);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_FALSE(bytes.empty());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "not a journal record\n" << bytes;
+  }
+
+  wfrt::EngineFleet fleet(&store_, &programs_, kEngines);
+  Status opened = fleet.OpenJournalShards(base);
+  EXPECT_TRUE(opened.IsCorruption()) << opened.ToString();
+  EXPECT_NE(opened.message().find(base + ".e1"), std::string::npos)
+      << opened.ToString();
+  EXPECT_EQ(opened.message().find(base + ".e2"), std::string::npos)
+      << opened.ToString();
+  EXPECT_EQ(fleet.journal_shard(0), nullptr);  // nothing attached
+  RemoveShards(base, kEngines);
+}
+
 TEST_F(FleetRecoveryTest, DanglingHandoffIsReadopted) {
   const int kEngines = 2;
   MemoryJournal shard0, shard1;

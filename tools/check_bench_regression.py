@@ -20,6 +20,17 @@ interference, and interleaving spreads slow phases of the machine over
 all rows alike: 20 of 20 runs passed (0.79-1.19), and a recovery that
 ignores the snapshot still reads ~11x.
 
+Because the two snap:1 rows do identical work by design, their time
+ratio shows noise, not a regression, unless the regression is large.
+The gate therefore also checks the exact work counters the bench
+reports beside each row's time: both snap:1 rows must replay the same
+number of records (records_replayed) and rebuild the same number of
+instances (arena_spinups), and at history:100 full replay (snap:0)
+must replay at least MIN_REPLAY_RATIO (2) times the records the
+snapshot path does. A recovery that ignores the snapshot fails the
+first and third checks; a checkpoint that keeps finished families
+fails the second. A row without these counters is missing data.
+
 The end-to-end production path is gated by prodbench/ (see
 prodbench/README.md); this gate stays until prodbench gates the same
 property.
@@ -60,6 +71,31 @@ def fastest_times(bench_json):
     return fastest
 
 
+COUNTERS = ("records_replayed", "arena_spinups")
+
+# At history:100, full replay must stream at least this many times the
+# records the snapshot path replays (it streams ~10000x on unchanged code).
+MIN_REPLAY_RATIO = 2.0
+
+
+def row_counters(bench_json):
+    """run_name -> {counter: set of the values its runs reported}.
+
+    Repetitions and the median aggregate are all read: a deterministic
+    counter reports one value per row.
+    """
+    rows = {}
+    for b in bench_json.get("benchmarks", []):
+        if (b.get("run_type") == "aggregate"
+                and b.get("aggregate_name") != "median"):
+            continue
+        row = rows.setdefault(b.get("run_name", b.get("name")), {})
+        for counter in COUNTERS:
+            if counter in b:
+                row.setdefault(counter, set()).add(b[counter])
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--recovery-fresh", required=True,
@@ -74,7 +110,9 @@ def main():
     args = ap.parse_args()
 
     with open(args.recovery_fresh) as f:
-        times = fastest_times(json.load(f))
+        bench = json.load(f)
+    times = fastest_times(bench)
+    rows = row_counters(bench)
 
     def ratio(base_key, test_key):
         base, test = times.get(base_key), times.get(test_key)
@@ -91,7 +129,36 @@ def main():
               "history/snap rows")
         return 2
 
+    short = "BM_RecoverAfterHistory/history:10/snap:1"
+    long_ = "BM_RecoverAfterHistory/history:100/snap:1"
+    full = "BM_RecoverAfterHistory/history:100/snap:0"
+    counts = {}
+    for name in (short, long_, full):
+        for counter in COUNTERS:
+            values = rows.get(name, {}).get(counter)
+            if not values:
+                print(f"MISSING: {name} reports no {counter} counter")
+                return 2
+            counts[name, counter] = values
+
     failures = []
+    for counter in COUNTERS:
+        a, b = counts[short, counter], counts[long_, counter]
+        same = len(a) == 1 and a == b
+        verdict = "ok" if same else "REGRESSION"
+        print(f"{verdict} snapshot work: {counter} at history:10 "
+              f"{sorted(a)} vs history:100 {sorted(b)}, required equal")
+        if not same:
+            failures.append(f"snapshot_{counter}")
+    replay_ratio = (max(counts[full, "records_replayed"])
+                    / max(max(counts[long_, "records_replayed"]), 1))
+    verdict = "ok" if replay_ratio >= MIN_REPLAY_RATIO else "REGRESSION"
+    print(f"{verdict} snapshot replay: full replay streams "
+          f"{replay_ratio:.1f}x the records at history:100, required >= "
+          f"{MIN_REPLAY_RATIO}")
+    if replay_ratio < MIN_REPLAY_RATIO:
+        failures.append("snapshot_replay_ratio")
+
     verdict = "ok" if flatness <= args.max_snapshot_flatness else "REGRESSION"
     print(f"{verdict} snapshot flatness: 10x history costs "
           f"{flatness:.3f}x with checkpoints on, required <= "
