@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -133,6 +134,12 @@ bool UnescapeQuoted(std::string_view s, std::string* out) {
   }
   out->append(s.data() + run, s.size() - run);
   return true;
+}
+
+bool ParseNumber(std::string_view s, uint64_t* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace exotica

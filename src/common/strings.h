@@ -3,6 +3,7 @@
 #ifndef EXOTICA_COMMON_STRINGS_H_
 #define EXOTICA_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +44,11 @@ void AppendEscaped(std::string_view s, std::string* out);
 /// Inverse of EscapeQuoted, written over `out` (its storage is reused).
 /// Returns false on a malformed escape.
 bool UnescapeQuoted(std::string_view s, std::string* out);
+
+/// Parses a decimal number written as the journal and image encoders
+/// write one: digits only, so no sign, no blank, no trailing text and no
+/// overflow. Returns false otherwise (also for an empty string).
+bool ParseNumber(std::string_view s, uint64_t* out);
 
 }  // namespace exotica
 

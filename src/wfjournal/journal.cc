@@ -24,7 +24,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kActivityDead: return "DEAD";
     case EventType::kConnectorEval: return "CONNECTOR";
     case EventType::kInstanceFinished: return "INSTANCE_FINISHED";
-    case EventType::kChildSpawned: return "CHILD";
     case EventType::kInstanceSuspended: return "SUSPENDED";
     case EventType::kInstanceResumed: return "RESUMED";
     case EventType::kInstanceCancelled: return "CANCELLED";
@@ -60,14 +59,6 @@ struct LineFields {
 Status Corrupt(std::string what, std::string_view line) {
   what.append(line);
   return Status::Corruption(std::move(what));
-}
-
-/// Digits only, as the encoder writes them: no sign, no blank, no
-/// overflow.
-bool ParseNumber(std::string_view s, uint64_t* out) {
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 /// True iff UnescapeQuoted would accept `s`.

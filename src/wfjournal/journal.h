@@ -73,7 +73,7 @@ enum class EventType : int {
   kActivityDead = 6,       ///< dead path elimination
   kConnectorEval = 7,      ///< activity=from, to=to, flag=value
   kInstanceFinished = 8,   ///< payload = output container image
-  kChildSpawned = 9,       ///< activity = block activity; payload = child id
+                           ///< (9 is unused: no writer produces it)
   kInstanceSuspended = 10,
   kInstanceResumed = 11,
   kInstanceCancelled = 12, ///< user-initiated termination

@@ -23,6 +23,14 @@ inline const wf::Activity& DefOf(const ProcessInstance* inst, uint32_t aid) {
   return inst->definition->activities()[aid];
 }
 
+// Id of the activity `name` in `inst`: where names arrive from outside
+// (the public API, journal replay).
+Result<uint32_t> ActivityId(const ProcessInstance* inst,
+                            const std::string& name) {
+  EXO_ASSIGN_OR_RETURN(size_t aid, inst->definition->ActivityIndex(name));
+  return static_cast<uint32_t>(aid);
+}
+
 // FNV-1a over a string, folded into `h` — the backoff-jitter key. A plain
 // hash (not an Rng stream) keeps the decision a pure function of
 // (seed, instance, activity, attempt), stable across recovery and
@@ -159,11 +167,8 @@ std::string Engine::NewInstanceId() {
 }
 
 Result<ProcessInstance*> Engine::MutableInstance(const std::string& id) {
-  auto it = instance_index_.find(id);
-  if (it == instance_index_.end()) {
-    return Status::NotFound("no such process instance: " + id);
-  }
-  return &instances_[it->second];
+  EXO_ASSIGN_OR_RETURN(const ProcessInstance* inst, FindInstance(id));
+  return &instances_[inst->index];
 }
 
 Result<const ProcessInstance*> Engine::FindInstance(const std::string& id) const {
@@ -222,27 +227,22 @@ Result<std::string> Engine::StartProcess(const std::string& process_name,
                                          const data::Container* input) {
   EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* def,
                        definitions_->FindProcess(process_name));
-  Result<std::string> id = CreateInstance(def, input, "", "");
+  Result<std::string> id = CreateInstance(def, input, nullptr, 0);
   EXO_RETURN_NOT_OK(FlushJournal());
   return id;
 }
 
-Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
-                                           const data::Container* input,
-                                           const std::string& parent_instance,
-                                           const std::string& parent_activity) {
-  std::string id = NewInstanceId();
+Result<std::string> Engine::CreateInstance(
+    const wf::ProcessDefinition* def, const data::Container* input,
+    ProcessInstance* parent, uint32_t parent_activity) {
+  ProcessInstance inst;
+  inst.id = NewInstanceId();
   if (input != nullptr && input->type_name() != def->input_type()) {
     return Status::InvalidArgument(
         "input container type " + input->type_name() +
         " does not match process input type " + def->input_type());
   }
-
-  ProcessInstance inst;
-  inst.id = id;
-  inst.parent_instance = parent_instance;
-  inst.parent_activity = parent_activity;
-  EXO_RETURN_NOT_OK(BuildInstance(def, input, &inst));
+  EXO_RETURN_NOT_OK(BuildInstance(def, input, parent, parent_activity, &inst));
 
   // Journaled once built, so a start that fails to build leaves no record
   // behind for replay to trip over. The payload pins the template version
@@ -251,32 +251,33 @@ Result<std::string> Engine::CreateInstance(const wf::ProcessDefinition* def,
   if (journal_ != nullptr) {
     const std::string version =
         "v" + std::to_string(def->version()) + ":" + def->name();
+    std::string_view block;
+    if (parent != nullptr) block = NameOf(parent, parent_activity);
     EXO_RETURN_NOT_OK(JournalAppend(
-        {wfjournal::EventType::kInstanceStart, id, parent_activity,
-         parent_instance, /*flag=*/false, version, Image(inst.input)}));
+        {wfjournal::EventType::kInstanceStart, inst.id, block,
+         inst.parent_instance, /*flag=*/false, version, Image(inst.input)}));
   }
   ProcessInstance* p = CommitInstance(std::move(inst));
   ++stats_.instances_started;
   Audit(p, {AuditKind::kInstanceStarted, kNoActivity, AuditDetail::kProcess});
-
-  if (!parent_instance.empty()) {
-    EXO_ASSIGN_OR_RETURN(ProcessInstance* parent,
-                         MutableInstance(parent_instance));
-    EXO_ASSIGN_OR_RETURN(size_t paid,
-                         parent->definition->ActivityIndex(parent_activity));
-    parent->child_instance(static_cast<uint32_t>(paid)) = id;
-  }
+  if (parent != nullptr) parent->child(parent_activity) = p->index;
 
   EXO_RETURN_NOT_OK(ReadyStartActivities(p));
-  return id;
+  return p->id;
 }
 
 Status Engine::BuildInstance(const wf::ProcessDefinition* def,
                              const data::Container* input,
-                             ProcessInstance* inst,
+                             const ProcessInstance* parent,
+                             uint32_t parent_activity, ProcessInstance* inst,
                              const std::string& input_image,
                              const std::string& output_image) {
   const wf::NavigationPlan& plan = def->plan();
+  if (parent != nullptr) {
+    inst->parent = parent->index;
+    inst->parent_activity = parent_activity;
+    inst->parent_instance = parent->id;
+  }
   inst->definition = def;
   inst->plan = &plan;
   inst->input = input != nullptr ? *input : plan.input_prototype();
@@ -455,14 +456,10 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
   ++stats_.activities_executed;
 
   if (def.is_process()) {
-    // Block: spawn a child instance fed from this activity's input.
+    // Block: spawn a child fed from this activity's input (ContinueParent).
     EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* sub,
                          definitions_->FindProcess(def.subprocess));
-    EXO_ASSIGN_OR_RETURN(
-        std::string child_id,
-        CreateInstance(sub, &inst->activity_input(aid), inst->id, def.name));
-    (void)child_id;  // continuation happens when the child finishes
-    return Status::OK();
+    return CreateInstance(sub, &inst->activity_input(aid), inst, aid).status();
   }
 
   // Program activity.
@@ -567,8 +564,7 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
   }
   // The retry budget lives on the top-level instance, so block children
   // draw from one shared allowance.
-  EXO_ASSIGN_OR_RETURN(uint32_t root_index, RootIndex(inst));
-  ProcessInstance* root = &instances_[root_index];
+  ProcessInstance* root = &instances_[RootIndex(inst)];
   ++root->retries_used;
   if (options_.retry.instance_retry_budget > 0 &&
       root->retries_used > options_.retry.instance_retry_budget) {
@@ -593,8 +589,7 @@ Status Engine::HandleProgramFailure(ProcessInstance* inst, uint32_t aid,
 }
 
 Status Engine::QuarantineInstance(ProcessInstance* inst, std::string reason) {
-  EXO_ASSIGN_OR_RETURN(uint32_t root_index, RootIndex(inst));
-  ProcessInstance* root = &instances_[root_index];
+  ProcessInstance* root = &instances_[RootIndex(inst)];
   EXO_RETURN_NOT_OK(JournalAppend(
       {wfjournal::EventType::kInstanceFailed, root->id, {}, {}, false, reason}));
   return ApplyFailed(root, reason);
@@ -836,21 +831,19 @@ Status Engine::CheckInstanceCompletion(ProcessInstance* inst) {
 }
 
 Status Engine::ContinueParent(ProcessInstance* child) {
-  EXO_ASSIGN_OR_RETURN(ProcessInstance* parent,
-                       MutableInstance(child->parent_instance));
-  EXO_ASSIGN_OR_RETURN(
-      size_t aid, parent->definition->ActivityIndex(child->parent_activity));
-  if (parent->state(static_cast<uint32_t>(aid)) != ActivityState::kRunning) {
+  ProcessInstance* parent = &instances_[child->parent];
+  const uint32_t aid = child->parent_activity;
+  if (parent->state(aid) != ActivityState::kRunning) {
     return Status::OK();  // already done
   }
-  data::Container& out = parent->activity_output(static_cast<uint32_t>(aid));
+  data::Container& out = parent->activity_output(aid);
   out = child->output;
   EXO_RETURN_NOT_OK(Emit(parent,
-                         {AuditKind::kActivityFinished,
-                          static_cast<uint32_t>(aid), AuditDetail::kBlockChild,
-                          AuditRef(child), Image(out)},
+                         {AuditKind::kActivityFinished, aid,
+                          AuditDetail::kBlockChild, AuditRef(child),
+                          Image(out)},
                          wfjournal::EventType::kActivityFinished));
-  return HandleFinished(parent, static_cast<uint32_t>(aid));
+  return HandleFinished(parent, aid);
 }
 
 // --- manual work ---------------------------------------------------------------
@@ -875,14 +868,14 @@ Status Engine::ExecuteWorkItem(org::WorkItemId id, const std::string& person) {
   EXO_ASSIGN_OR_RETURN(ProcessInstance* inst,
                        MutableInstance(item->process_instance));
   std::string activity = item->activity;
-  EXO_ASSIGN_OR_RETURN(size_t aid, inst->definition->ActivityIndex(activity));
-  if (inst->state(static_cast<uint32_t>(aid)) != ActivityState::kReady) {
+  EXO_ASSIGN_OR_RETURN(uint32_t aid, ActivityId(inst, activity));
+  if (inst->state(aid) != ActivityState::kReady) {
     return Status::FailedPrecondition("activity " + activity +
                                       " is not ready in " + inst->id);
   }
   EXO_RETURN_NOT_OK(worklists_->Complete(id, person));
-  inst->work_item(static_cast<uint32_t>(aid)).reset();
-  EXO_RETURN_NOT_OK(StartExecution(inst, static_cast<uint32_t>(aid), person));
+  inst->work_item(aid).reset();
+  EXO_RETURN_NOT_OK(StartExecution(inst, aid, person));
   return Run();
 }
 
@@ -890,9 +883,9 @@ Status Engine::CompleteAsync(const std::string& instance_id,
                              const std::string& activity,
                              const data::Container& output) {
   EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(instance_id));
-  EXO_ASSIGN_OR_RETURN(size_t aid, inst->definition->ActivityIndex(activity));
-  const wf::Activity& def = DefOf(inst, static_cast<uint32_t>(aid));
-  ActivityState s = inst->state(static_cast<uint32_t>(aid));
+  EXO_ASSIGN_OR_RETURN(uint32_t aid, ActivityId(inst, activity));
+  const wf::Activity& def = DefOf(inst, aid);
+  ActivityState s = inst->state(aid);
   if (s != ActivityState::kRunning) {
     return Status::FailedPrecondition(
         "activity " + activity + " in " + instance_id + " is " +
@@ -907,16 +900,14 @@ Status Engine::CompleteAsync(const std::string& instance_id,
                                    output.type_name() + " does not match " +
                                    def.output_type);
   }
-  data::Container& out = inst->activity_output(static_cast<uint32_t>(aid));
+  data::Container& out = inst->activity_output(aid);
   out = output;
-  inst->failures(static_cast<uint32_t>(aid)) = 0;
+  inst->failures(aid) = 0;
   EXO_RETURN_NOT_OK(Emit(inst,
-                         {AuditKind::kActivityFinished,
-                          static_cast<uint32_t>(aid), AuditDetail::kText,
-                          static_cast<uint64_t>(AuditText::kAsync),
-                          Image(out)},
+                         {AuditKind::kActivityFinished, aid, AuditDetail::kText,
+                          static_cast<uint64_t>(AuditText::kAsync), Image(out)},
                          wfjournal::EventType::kActivityFinished));
-  EXO_RETURN_NOT_OK(HandleFinished(inst, static_cast<uint32_t>(aid)));
+  EXO_RETURN_NOT_OK(HandleFinished(inst, aid));
   return Run();
 }
 
@@ -924,10 +915,9 @@ Status Engine::ForceFinish(const std::string& instance_id,
                            const std::string& activity,
                            const data::Container& output) {
   EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(instance_id));
-  EXO_ASSIGN_OR_RETURN(size_t aid, inst->definition->ActivityIndex(activity));
-  const uint32_t uaid = static_cast<uint32_t>(aid);
-  const wf::Activity& def = DefOf(inst, uaid);
-  ActivityState s = inst->state(uaid);
+  EXO_ASSIGN_OR_RETURN(uint32_t aid, ActivityId(inst, activity));
+  const wf::Activity& def = DefOf(inst, aid);
+  ActivityState s = inst->state(aid);
   if (s != ActivityState::kReady) {
     return Status::FailedPrecondition(
         "only ready activities can be force-finished; " + activity + " is " +
@@ -938,21 +928,21 @@ Status Engine::ForceFinish(const std::string& instance_id,
                                    output.type_name() + " does not match " +
                                    def.output_type);
   }
-  WithdrawWorkItem(inst, uaid);
-  const int32_t attempt = ++inst->attempt(uaid);
+  WithdrawWorkItem(inst, aid);
+  const int32_t attempt = ++inst->attempt(aid);
   // Journaled, not audited: the trail shows the forced finish only.
   EXO_RETURN_NOT_OK(JournalStep(inst,
-                                {AuditKind::kActivityStarted, uaid,
+                                {AuditKind::kActivityStarted, aid,
                                  AuditDetail::kAttempt,
                                  static_cast<uint64_t>(attempt)},
                                 wfjournal::EventType::kActivityStarted));
-  data::Container& out = inst->activity_output(uaid);
+  data::Container& out = inst->activity_output(aid);
   out = output;
   EXO_RETURN_NOT_OK(Emit(inst,
-                         {AuditKind::kForcedFinish, uaid, AuditDetail::kNone,
+                         {AuditKind::kForcedFinish, aid, AuditDetail::kNone,
                           0, Image(out)},
                          wfjournal::EventType::kActivityFinished));
-  EXO_RETURN_NOT_OK(HandleFinished(inst, static_cast<uint32_t>(aid)));
+  EXO_RETURN_NOT_OK(HandleFinished(inst, aid));
   return Run();
 }
 
@@ -963,20 +953,25 @@ std::vector<org::Notification> Engine::CheckDeadlines() {
 
 // --- instance lifecycle control ------------------------------------------------
 
-Status Engine::SuspendInstance(const std::string& instance_id) {
-  EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(instance_id));
+Result<ProcessInstance*> Engine::LiveTopLevel(const std::string& id,
+                                              const char* verb) {
+  EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(id));
   if (inst->is_child()) {
     return Status::InvalidArgument(
-        "suspend the top-level instance, not block child " + instance_id);
+        std::string(verb) + " the top-level instance, not block child " + id);
   }
   if (inst->finished) {
-    return Status::FailedPrecondition("instance " + instance_id +
-                                      " already finished");
+    return Status::FailedPrecondition("instance " + id + " already finished");
   }
   if (inst->failed) {
-    return Status::FailedPrecondition("instance " + instance_id +
-                                      " is quarantined");
+    return Status::FailedPrecondition("instance " + id + " is quarantined");
   }
+  return inst;
+}
+
+Status Engine::SuspendInstance(const std::string& instance_id) {
+  EXO_ASSIGN_OR_RETURN(ProcessInstance* inst,
+                       LiveTopLevel(instance_id, "suspend"));
   if (inst->suspended) {
     return Status::FailedPrecondition("instance " + instance_id +
                                       " already suspended");
@@ -996,10 +991,10 @@ Status Engine::ApplySuspend(ProcessInstance* inst) {
     // Unaudited: ResumeSuspended reposts the item.
     WithdrawWorkItem(inst, aid, /*audited=*/false);
     if (inst->state(aid) == ActivityState::kRunning &&
-        !inst->child_instance(aid).empty()) {
-      auto child = MutableInstance(inst->child_instance(aid));
-      if (child.ok() && !(*child)->finished && !(*child)->failed) {
-        EXO_RETURN_NOT_OK(ApplySuspend(*child));
+        inst->child(aid) != kNoSlot) {
+      ProcessInstance* child = &instances_[inst->child(aid)];
+      if (!child->finished && !child->failed) {
+        EXO_RETURN_NOT_OK(ApplySuspend(child));
       }
     }
   }
@@ -1031,31 +1026,17 @@ Status Engine::ApplyResume(ProcessInstance* inst) {
       } else {
         Enqueue(inst, aid);
       }
-    } else if (s == ActivityState::kRunning &&
-               !inst->child_instance(aid).empty()) {
-      auto child = MutableInstance(inst->child_instance(aid));
-      if (child.ok() && (*child)->suspended) {
-        EXO_RETURN_NOT_OK(ApplyResume(*child));
-      }
+    } else if (s == ActivityState::kRunning && inst->child(aid) != kNoSlot) {
+      ProcessInstance* child = &instances_[inst->child(aid)];
+      if (child->suspended) EXO_RETURN_NOT_OK(ApplyResume(child));
     }
   }
   return Status::OK();
 }
 
 Status Engine::CancelInstance(const std::string& instance_id) {
-  EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(instance_id));
-  if (inst->is_child()) {
-    return Status::InvalidArgument(
-        "cancel the top-level instance, not block child " + instance_id);
-  }
-  if (inst->finished) {
-    return Status::FailedPrecondition("instance " + instance_id +
-                                      " already finished");
-  }
-  if (inst->failed) {
-    return Status::FailedPrecondition("instance " + instance_id +
-                                      " is quarantined");
-  }
+  EXO_ASSIGN_OR_RETURN(ProcessInstance* inst,
+                       LiveTopLevel(instance_id, "cancel"));
   EXO_RETURN_NOT_OK(
       JournalAppend({wfjournal::EventType::kInstanceCancelled, instance_id}));
   EXO_RETURN_NOT_OK(ApplyCancel(inst));
@@ -1079,13 +1060,13 @@ Status Engine::SettleSweep(ProcessInstance* inst, bool cancel,
   // Both passes run in name order (see ApplySuspend).
   for (uint32_t aid : inst->plan->ids_by_name()) {
     if (inst->state(aid) != ActivityState::kRunning ||
-        inst->child_instance(aid).empty()) {
+        inst->child(aid) == kNoSlot) {
       continue;
     }
-    auto child = MutableInstance(inst->child_instance(aid));
-    if (child.ok() && !(*child)->finished && !(*child)->failed) {
-      EXO_RETURN_NOT_OK(cancel ? ApplyCancel(*child)
-                               : ApplyFailed(*child, reason));
+    ProcessInstance* child = &instances_[inst->child(aid)];
+    if (!child->finished && !child->failed) {
+      EXO_RETURN_NOT_OK(cancel ? ApplyCancel(child)
+                               : ApplyFailed(child, reason));
     }
   }
   for (uint32_t aid : inst->plan->ids_by_name()) {
@@ -1101,6 +1082,14 @@ Status Engine::SettleSweep(ProcessInstance* inst, bool cancel,
 
 // --- instance migration (work stealing) ------------------------------------------
 
+std::vector<std::string> Engine::instance_order() const {
+  std::vector<std::string> ids;
+  for (const ProcessInstance& inst : instances_) {
+    if (!inst.detached) ids.push_back(inst.id);
+  }
+  return ids;
+}
+
 size_t Engine::unfinished_top_level() const {
   size_t n = 0;
   for (const ProcessInstance& inst : instances_) {
@@ -1111,30 +1100,21 @@ size_t Engine::unfinished_top_level() const {
   return n;
 }
 
-Result<uint32_t> Engine::RootIndex(const ProcessInstance* inst) const {
-  while (inst->is_child()) {
-    EXO_ASSIGN_OR_RETURN(inst, FindInstance(inst->parent_instance));
-  }
+uint32_t Engine::RootIndex(const ProcessInstance* inst) const {
+  while (inst->is_child()) inst = &instances_[inst->parent];
   return inst->index;
 }
 
-Status Engine::CollectFamily(const ProcessInstance* root,
-                             std::vector<const ProcessInstance*>* family) const {
+void Engine::CollectFamily(const ProcessInstance* root,
+                           std::vector<const ProcessInstance*>* family) const {
   family->push_back(root);
   // Breadth-first, so parents always precede their children in the image
   // list — the order Adopt materializes them in.
   for (size_t i = 0; i < family->size(); ++i) {
-    const ProcessInstance* m = (*family)[i];
-    const uint32_t n = m->activity_count();
-    for (uint32_t aid = 0; aid < n; ++aid) {
-      const std::string& child_id = m->child_instance(aid);
-      if (child_id.empty()) continue;
-      EXO_ASSIGN_OR_RETURN(const ProcessInstance* child,
-                           FindInstance(child_id));
-      family->push_back(child);
+    for (const ActivityCold& c : (*family)[i]->cold) {
+      if (c.child != kNoSlot) family->push_back(&instances_[c.child]);
     }
   }
-  return Status::OK();
 }
 
 Result<std::string> Engine::PickDetachable() const {
@@ -1146,20 +1126,19 @@ Result<std::string> Engine::PickDetachable() const {
   // Among the rest, prefer the *smallest* family: it is the cheapest to
   // serialize, and a deep block tree signals an expensive computation in
   // flight that is better finished where it lives than re-homed mid-run.
-  Result<uint32_t> head = RootIndex(&instances_[ready_queue_.front().first]);
+  const uint32_t head = RootIndex(&instances_[ready_queue_.front().first]);
   const ProcessInstance* best = nullptr;
   size_t best_size = 0;
   std::vector<const ProcessInstance*> family;
   for (auto it = ready_queue_.rbegin(); it != ready_queue_.rend(); ++it) {
-    Result<uint32_t> index = RootIndex(&instances_[it->first]);
-    if (!index.ok() || (head.ok() && *index == *head)) continue;
-    const ProcessInstance* root = &instances_[*index];
-    if (root == best || root->finished || root->failed || root->detached ||
-        root->suspended) {
+    const uint32_t index = RootIndex(&instances_[it->first]);
+    const ProcessInstance* root = &instances_[index];
+    if (index == head || root == best || root->finished || root->failed ||
+        root->detached || root->suspended) {
       continue;
     }
     family.clear();
-    if (!CollectFamily(root, &family).ok()) continue;
+    CollectFamily(root, &family);
     if (best == nullptr || family.size() < best_size) {
       best = root;
       best_size = family.size();
@@ -1173,31 +1152,16 @@ Result<std::string> Engine::PickDetachable() const {
 
 void Engine::ReleaseSlot(ProcessInstance* inst) {
   inst->detached = true;
-  inst->ResetEnqueued();
   instance_index_.erase(inst->id);
-  instance_order_.erase(
-      std::remove(instance_order_.begin(), instance_order_.end(), inst->id),
-      instance_order_.end());
 }
 
 Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
-  EXO_ASSIGN_OR_RETURN(ProcessInstance* root, MutableInstance(instance_id));
-  if (root->is_child()) {
-    return Status::InvalidArgument("detach the top-level instance, not block child " +
-                                   instance_id);
-  }
-  if (root->finished) {
-    return Status::FailedPrecondition("instance " + instance_id +
-                                      " already finished");
-  }
-  if (root->failed) {
-    // Quarantine is engine-local state (FailedInstances); migrating a
-    // quarantined instance would strand its failure record.
-    return Status::FailedPrecondition("instance " + instance_id +
-                                      " is quarantined; it stays put");
-  }
+  // A quarantined family stays put: quarantine is engine-local state
+  // (FailedInstances), which migrating would strand.
+  EXO_ASSIGN_OR_RETURN(ProcessInstance* root,
+                       LiveTopLevel(instance_id, "detach"));
   std::vector<const ProcessInstance*> family;
-  EXO_RETURN_NOT_OK(CollectFamily(root, &family));
+  CollectFamily(root, &family);
   for (const ProcessInstance* m : family) {
     const uint32_t n = m->activity_count();
     for (uint32_t aid = 0; aid < n; ++aid) {
@@ -1221,7 +1185,7 @@ Result<DetachedInstance> Engine::Detach(const std::string& instance_id) {
   detached.root_id = instance_id;
   detached.images.reserve(family.size());
   for (const ProcessInstance* m : family) {
-    detached.images.push_back(EncodeInstanceImage(*m));
+    detached.images.push_back(EncodeInstanceImage(*m, instances_));
   }
   // Journal + flush the full image *before* releasing the slots: if the
   // handoff dies between here and the adopter's journal, recovery replays
@@ -1267,40 +1231,75 @@ Status Engine::ApplyAdopt(const DetachedInstance& detached) {
 
 Result<std::vector<ProcessInstance*>> Engine::MaterializeImages(
     const std::vector<std::string>& encoded, const std::string* adopt_root) {
-  // Decode, validate, and build every member before committing any, so a
-  // bad image cannot leave a half-adopted family or a half-restored
+  // Decode, validate, link and build every member before committing any,
+  // so a bad image cannot leave a half-adopted family or a half-restored
   // snapshot behind.
-  std::vector<InstanceImage> images;
-  images.reserve(encoded.size());
-  for (const std::string& e : encoded) {
-    EXO_ASSIGN_OR_RETURN(InstanceImage image, DecodeInstanceImage(e));
-    bool collision = instance_index_.count(image.id) > 0;
-    for (const InstanceImage& member : images) {
-      collision = collision || member.id == image.id;
-    }
-    if (collision && adopt_root == nullptr) {
-      return Status::Corruption("snapshot lists instance " + image.id +
-                                " more than once");
-    }
-    if (collision) {
+  const uint32_t base = static_cast<uint32_t>(instances_.size());
+  std::vector<InstanceImage> images(encoded.size());
+  // Id -> list position (member i gets slot base + i): the one map that
+  // catches a repeated id and resolves every link an image names.
+  std::unordered_map<std::string, uint32_t> member;
+  for (uint32_t i = 0; i < encoded.size(); ++i) {
+    EXO_ASSIGN_OR_RETURN(images[i], DecodeInstanceImage(encoded[i]));
+    const std::string& id = images[i].id;
+    if (!member.emplace(id, i).second || instance_index_.count(id) > 0) {
+      if (adopt_root == nullptr) {
+        return Status::Corruption("snapshot lists instance " + id +
+                                  " more than once");
+      }
       return Status::FailedPrecondition("instance id collision adopting " +
-                                        image.id +
-                                        " (fleet id prefixes not set?)");
+                                        id + " (fleet id prefixes not set?)");
     }
-    EXO_RETURN_NOT_OK(definitions_
-                          ->FindProcessVersion(image.process_name,
-                                               image.version)
-                          .status());
-    images.push_back(std::move(image));
   }
   if (adopt_root != nullptr &&
       (images.empty() || images[0].id != *adopt_root)) {
     return Status::InvalidArgument("detached payload root mismatch for " +
                                    *adopt_root);
   }
+  // Both writers list a parent before its children, so a parent is built
+  // before a child links to it, and parent links cannot form a cycle.
   std::vector<ProcessInstance> built(images.size());
-  for (size_t i = 0; i < images.size(); ++i) {
-    EXO_RETURN_NOT_OK(BuildFromImage(images[i], &built[i]));
+  for (uint32_t i = 0; i < images.size(); ++i) {
+    const InstanceImage& image = images[i];
+    built[i].index = base + i;
+    // An adopted family's first image is its only top-level member.
+    if (adopt_root != nullptr && image.parent_instance.empty() != (i == 0)) {
+      return Status::InvalidArgument(
+          "detached family " + *adopt_root + ": " + image.id +
+          (i == 0 ? " is its root but names a parent"
+                  : " is a second top-level member"));
+    }
+    const ProcessInstance* parent = nullptr;
+    Result<uint32_t> block = 0u;
+    if (!image.parent_instance.empty()) {
+      auto it = member.find(image.parent_instance);
+      if (it != member.end() && it->second < i) parent = &built[it->second];
+      if (parent != nullptr) block = ActivityId(parent, image.parent_activity);
+      if (parent == nullptr || !block.ok() ||
+          !parent->plan->activity(*block).block) {
+        return Status::Corruption("image of " + image.id + ": parent " +
+                                  image.parent_instance + ", block " +
+                                  image.parent_activity +
+                                  ", is no block of a member listed before it");
+      }
+    }
+    EXO_RETURN_NOT_OK(BuildFromImage(image, parent, *block, &built[i]));
+  }
+  // A child link must name the member whose parent link names it back, so
+  // each member is reached once and every family walk terminates.
+  for (uint32_t i = 0; i < images.size(); ++i) {
+    for (uint32_t aid = 0; aid < built[i].activity_count(); ++aid) {
+      const std::string& child_id = images[i].activities[aid].child_instance;
+      if (child_id.empty()) continue;
+      auto it = member.find(child_id);
+      if (it == member.end() || built[it->second].parent != base + i ||
+          built[it->second].parent_activity != aid) {
+        return Status::Corruption("image of " + images[i].id + " links " +
+                                  NameOf(&built[i], aid) + " to " + child_id +
+                                  ", which is not its block child");
+      }
+      built[i].child(aid) = base + it->second;
+    }
   }
   std::vector<ProcessInstance*> committed;
   committed.reserve(built.size());
@@ -1311,15 +1310,14 @@ Result<std::vector<ProcessInstance*>> Engine::MaterializeImages(
 }
 
 Status Engine::BuildFromImage(const InstanceImage& image,
-                              ProcessInstance* inst) {
+                              const ProcessInstance* parent,
+                              uint32_t parent_activity, ProcessInstance* inst) {
   EXO_ASSIGN_OR_RETURN(
       const wf::ProcessDefinition* def,
       definitions_->FindProcessVersion(image.process_name, image.version));
   inst->id = image.id;
-  inst->parent_instance = image.parent_instance;
-  inst->parent_activity = image.parent_activity;
-  EXO_RETURN_NOT_OK(BuildInstance(def, nullptr, inst, image.input_image,
-                                  image.output_image));
+  EXO_RETURN_NOT_OK(BuildInstance(def, nullptr, parent, parent_activity, inst,
+                                  image.input_image, image.output_image));
   if (image.activities.size() != inst->plan->activity_count()) {
     return Status::Corruption("instance image for " + image.id + " has " +
                               std::to_string(image.activities.size()) +
@@ -1338,7 +1336,6 @@ Status Engine::BuildFromImage(const InstanceImage& image,
     inst->SetState(aid, static_cast<ActivityState>(a.state));
     inst->attempt(aid) = a.attempt;
     inst->failures(aid) = a.failures;
-    inst->child_instance(aid) = a.child_instance;
     for (uint32_t s = 0; s < a.incoming_eval.size(); ++s) {
       inst->in_eval_abs(info.in_eval_base + s) = a.incoming_eval[s];
     }
@@ -1370,7 +1367,6 @@ ProcessInstance* Engine::CommitInstance(ProcessInstance&& inst) {
   const uint32_t index = static_cast<uint32_t>(instances_.size());
   inst.index = index;
   instance_index_.emplace(inst.id, index);
-  instance_order_.push_back(inst.id);
   instances_.push_back(std::move(inst));
   ProcessInstance* p = &instances_[index];
   // Spin-ups count once committed, so a rejected build leaves the
@@ -1413,7 +1409,7 @@ Status Engine::Checkpoint() {
   if (journal_ == nullptr) {
     return Status::FailedPrecondition("no journal attached");
   }
-  // Collect live images in creation (index) order, so parents precede
+  // Collect live images in creation (slot) order, so parents precede
   // their block children — the order ReplaySnapshot rebuilds them in.
   // Finished (including cancelled) top-level families are dropped; that is
   // what makes recovery O(live state). Quarantined families stay: their
@@ -1421,12 +1417,11 @@ Status Engine::Checkpoint() {
   // the migration codec's: one escaped image per line.
   DetachedInstance live;
   for (const ProcessInstance& inst : instances_) {
-    if (inst.detached) continue;
-    Result<uint32_t> root = RootIndex(&inst);
-    if (root.ok() && instances_[*root].finished && !instances_[*root].failed) {
-      continue;
-    }
-    live.images.push_back(EncodeInstanceImage(inst));
+    // Members of a detached family are dropped too: its husks, and the
+    // earlier children of a looped block, which no child link reaches.
+    const ProcessInstance& root = instances_[RootIndex(&inst)];
+    if (root.detached || (root.finished && !root.failed)) continue;
+    live.images.push_back(EncodeInstanceImage(inst, instances_));
   }
   // Order of operations is the crash contract (see
   // docs/specs/snapshot_recovery.md): flush navigation records, rotate so
@@ -1518,129 +1513,39 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
   using wfjournal::EventType;
   switch (r.type) {
     case EventType::kInstanceStart: {
-      // Payload: "v<version>:<name>".
-      size_t colon = r.payload.find(':');
-      if (r.payload.size() < 3 || r.payload[0] != 'v' ||
-          colon == std::string::npos) {
+      // Payload: "v<version>:<name>"; a block child's `to` and `activity`
+      // name its parent and the parent's block activity.
+      const size_t colon = r.payload.find(':');
+      uint64_t version = 0;
+      if (colon == std::string::npos || r.payload[0] != 'v' ||
+          !ParseNumber(std::string_view(r.payload).substr(1, colon - 1),
+                       &version) ||
+          version > INT32_MAX) {
         return Status::Corruption("malformed INSTANCE_START payload: " +
                                   r.payload);
       }
-      int version = static_cast<int>(
-          std::strtol(r.payload.c_str() + 1, nullptr, 10));
-      std::string process_name = r.payload.substr(colon + 1);
       EXO_ASSIGN_OR_RETURN(
           const wf::ProcessDefinition* def,
-          definitions_->FindProcessVersion(process_name, version));
+          definitions_->FindProcessVersion(r.payload.substr(colon + 1),
+                                           static_cast<int>(version)));
       if (instance_index_.count(r.instance) > 0) {
         return Status::Corruption("duplicate INSTANCE_START for " + r.instance);
       }
+      ProcessInstance* parent = nullptr;
+      uint32_t block = 0;
+      if (!r.to.empty()) {
+        EXO_ASSIGN_OR_RETURN(parent, MutableInstance(r.to));
+        EXO_ASSIGN_OR_RETURN(block, ActivityId(parent, r.activity));
+      }
       ProcessInstance inst;
       inst.id = r.instance;
-      inst.parent_activity = r.activity;
-      inst.parent_instance = r.to;
-      EXO_RETURN_NOT_OK(BuildInstance(def, nullptr, &inst, r.extra));
-      CommitInstance(std::move(inst));
+      EXO_RETURN_NOT_OK(
+          BuildInstance(def, nullptr, parent, block, &inst, r.extra));
+      ProcessInstance* p = CommitInstance(std::move(inst));
       ++stats_.instances_started;
       NoteRecoveredId(r.instance);
-      // Wire the parent's block activity to this child.
-      if (!r.to.empty()) {
-        EXO_ASSIGN_OR_RETURN(ProcessInstance* parent, MutableInstance(r.to));
-        EXO_ASSIGN_OR_RETURN(size_t paid,
-                             parent->definition->ActivityIndex(r.activity));
-        parent->child_instance(static_cast<uint32_t>(paid)) = r.instance;
-      }
+      if (parent != nullptr) parent->child(block) = p->index;
       return Status::OK();
-    }
-    case EventType::kActivityReady:
-    case EventType::kActivityRescheduled: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      EXO_ASSIGN_OR_RETURN(size_t aid,
-                           inst->definition->ActivityIndex(r.activity));
-      inst->SetState(static_cast<uint32_t>(aid), ActivityState::kReady);
-      return Status::OK();
-    }
-    case EventType::kActivityStarted: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      EXO_ASSIGN_OR_RETURN(size_t aid,
-                           inst->definition->ActivityIndex(r.activity));
-      const uint32_t uaid = static_cast<uint32_t>(aid);
-      inst->SetState(uaid, ActivityState::kRunning);
-      inst->attempt(uaid) =
-          static_cast<int32_t>(std::strtol(r.payload.c_str(), nullptr, 10));
-      inst->activity_output(uaid) = inst->plan->activity_output(uaid);
-      return Status::OK();
-    }
-    case EventType::kActivityFinished: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      EXO_ASSIGN_OR_RETURN(size_t aid,
-                           inst->definition->ActivityIndex(r.activity));
-      const uint32_t uaid = static_cast<uint32_t>(aid);
-      MaterializeActivityOutput(inst, uaid);
-      EXO_RETURN_NOT_OK(inst->activity_output(uaid).Deserialize(r.payload));
-      inst->SetState(uaid, ActivityState::kFinished);
-      return Status::OK();
-    }
-    case EventType::kActivityTerminated: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      EXO_ASSIGN_OR_RETURN(size_t aid,
-                           inst->definition->ActivityIndex(r.activity));
-      inst->SetState(static_cast<uint32_t>(aid), ActivityState::kTerminated);
-      inst->failures(static_cast<uint32_t>(aid)) = 0;
-      // Re-derive the (volatile) data pushes from the journaled output.
-      return PushData(inst, static_cast<uint32_t>(aid));
-    }
-    case EventType::kActivityDead: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      EXO_ASSIGN_OR_RETURN(size_t aid,
-                           inst->definition->ActivityIndex(r.activity));
-      inst->SetState(static_cast<uint32_t>(aid), ActivityState::kDead);
-      return Status::OK();
-    }
-    case EventType::kConnectorEval: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      const std::vector<wf::ControlConnector>& connectors =
-          inst->definition->control_connectors();
-      Result<size_t> from = inst->definition->ActivityIndex(r.activity);
-      if (from.ok()) {
-        const wf::NavigationPlan::ActivityInfo& info =
-            inst->plan->activity(static_cast<uint32_t>(*from));
-        for (uint32_t cidx : info.out_control) {
-          if (connectors[cidx].to != r.to) continue;
-          const wf::NavigationPlan::ConnectorInfo& ci =
-              inst->plan->connector(cidx);
-          inst->out_eval(ci.from, ci.out_slot) = r.flag ? 1 : 0;
-          inst->in_eval(ci.to, ci.in_slot) = r.flag ? 1 : 0;
-          return Status::OK();
-        }
-      }
-      return Status::Corruption("journaled connector " + r.activity + " -> " +
-                                r.to + " not in definition of " +
-                                inst->definition->name());
-    }
-    case EventType::kInstanceFinished: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      EXO_RETURN_NOT_OK(inst->output.Deserialize(r.payload));
-      inst->finished = true;
-      ++stats_.instances_finished;
-      return Status::OK();
-    }
-    case EventType::kChildSpawned:
-      return Status::OK();  // superseded by parent fields on INSTANCE_START
-    case EventType::kInstanceSuspended: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      return ApplySuspend(inst);
-    }
-    case EventType::kInstanceResumed: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      return ApplyResume(inst);
-    }
-    case EventType::kInstanceCancelled: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      return ApplyCancel(inst);
-    }
-    case EventType::kInstanceFailed: {
-      EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
-      return ApplyFailed(inst, r.payload);
     }
     case EventType::kInstanceDetached: {
       EXO_ASSIGN_OR_RETURN(
@@ -1673,11 +1578,85 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
     }
     case EventType::kSnapshot:
       return ReplaySnapshot(r);
+    default:
+      break;
+  }
+
+  // Every other record is a step of one instance, and READY through
+  // CONNECTOR name one of its activities: both resolve once, here.
+  EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
+  uint32_t aid = kNoActivity;
+  if (r.type >= EventType::kActivityReady &&
+      r.type <= EventType::kConnectorEval) {
+    EXO_ASSIGN_OR_RETURN(aid, ActivityId(inst, r.activity));
+  }
+  switch (r.type) {
+    case EventType::kActivityReady:
+    case EventType::kActivityRescheduled:
+      inst->SetState(aid, ActivityState::kReady);
+      return Status::OK();
+    case EventType::kActivityStarted: {
+      uint64_t attempt = 0;
+      if (!ParseNumber(r.payload, &attempt) || attempt > INT32_MAX) {
+        return Status::Corruption("bad attempt in STARTED record: " +
+                                  r.payload);
+      }
+      inst->SetState(aid, ActivityState::kRunning);
+      inst->attempt(aid) = static_cast<int32_t>(attempt);
+      inst->activity_output(aid) = inst->plan->activity_output(aid);
+      return Status::OK();
+    }
+    case EventType::kActivityFinished:
+      MaterializeActivityOutput(inst, aid);
+      EXO_RETURN_NOT_OK(inst->activity_output(aid).Deserialize(r.payload));
+      inst->SetState(aid, ActivityState::kFinished);
+      return Status::OK();
+    case EventType::kActivityTerminated:
+      inst->SetState(aid, ActivityState::kTerminated);
+      inst->failures(aid) = 0;
+      // Re-derive the (volatile) data pushes from the journaled output.
+      return PushData(inst, aid);
+    case EventType::kActivityDead:
+      inst->SetState(aid, ActivityState::kDead);
+      return Status::OK();
+    case EventType::kConnectorEval: {
+      for (uint32_t cidx : inst->plan->activity(aid).out_control) {
+        if (inst->definition->control_connectors()[cidx].to != r.to) continue;
+        const wf::NavigationPlan::ConnectorInfo& ci =
+            inst->plan->connector(cidx);
+        inst->out_eval(ci.from, ci.out_slot) = r.flag ? 1 : 0;
+        inst->in_eval(ci.to, ci.in_slot) = r.flag ? 1 : 0;
+        return Status::OK();
+      }
+      return Status::Corruption("journaled connector " + r.activity + " -> " +
+                                r.to + " not in definition of " +
+                                inst->definition->name());
+    }
+    case EventType::kInstanceFinished:
+      EXO_RETURN_NOT_OK(inst->output.Deserialize(r.payload));
+      inst->finished = true;
+      ++stats_.instances_finished;
+      return Status::OK();
+    case EventType::kInstanceSuspended:
+      return ApplySuspend(inst);
+    case EventType::kInstanceResumed:
+      return ApplyResume(inst);
+    case EventType::kInstanceCancelled:
+      return ApplyCancel(inst);
+    case EventType::kInstanceFailed:
+      return ApplyFailed(inst, r.payload);
+    default:
+      break;
   }
   return Status::Corruption("unknown journal record type");
 }
 
 Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
+  uint64_t counter = 0;  // extra: the next-instance counter, may be empty
+  if (!r.extra.empty() && !ParseNumber(r.extra, &counter)) {
+    return Status::Corruption("bad instance counter in snapshot record seq " +
+                              std::to_string(r.seq) + ": " + r.extra);
+  }
   // A checkpoint supersedes everything replayed so far. Normally nothing
   // precedes it — the record opens its segment and truncation dropped the
   // rest — but a crash between the snapshot flush and its truncation
@@ -1685,7 +1664,6 @@ Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
   // same state as replaying the truncated journal.
   instances_.clear();
   instance_index_.clear();
-  instance_order_.clear();
   ready_queue_.clear();
   failed_.clear();
   detached_images_.clear();
@@ -1717,10 +1695,7 @@ Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
   // The snapshot pins the id counter explicitly too: instances created
   // after the imaged ones and already finished (hence absent above) must
   // not get their ids reused.
-  if (!r.extra.empty()) {
-    uint64_t n = std::strtoull(r.extra.c_str(), nullptr, 10);
-    if (n > next_instance_) next_instance_ = n;
-  }
+  if (counter > next_instance_) next_instance_ = counter;
   return Status::OK();
 }
 
@@ -1729,11 +1704,12 @@ void Engine::NoteRecoveredId(const std::string& id) {
   // prefixes (adopted instances) never collide with ours, so only our own
   // prefix advances the counter.
   std::string_view local = id;
+  uint64_t n = 0;
   if (StartsWith(local, options_.instance_id_prefix)) {
     local.remove_prefix(options_.instance_id_prefix.size());
-    if (StartsWith(local, "wf-")) {
-      uint64_t n = std::strtoull(local.data() + 3, nullptr, 10);
-      if (n + 1 > next_instance_) next_instance_ = n + 1;
+    if (StartsWith(local, "wf-") && ParseNumber(local.substr(3), &n) &&
+        n + 1 > next_instance_) {
+      next_instance_ = n + 1;
     }
   }
 }
@@ -1763,9 +1739,8 @@ Status Engine::ResumeAfterReplay(ProcessInstance* inst) {
         break;
       }
       case ActivityState::kRunning: {
-        if (info.block && !inst->child_instance(aid).empty()) {
-          EXO_ASSIGN_OR_RETURN(ProcessInstance* child,
-                               MutableInstance(inst->child_instance(aid)));
+        if (info.block && inst->child(aid) != kNoSlot) {
+          ProcessInstance* child = &instances_[inst->child(aid)];
           if (child->finished) {
             // Crash between the child's completion and the parent's
             // continuation: continue now.

@@ -4,9 +4,10 @@
 // §3.3's forward recovery from a navigation journal).
 //
 // Navigation runs on the definition's compiled NavigationPlan: activities
-// are dense integer ids, the ready queue holds (instance index, activity
-// id) pairs deduplicated by a per-instance bitmap, and string names appear
-// only at API boundaries. Each navigation step is described once, as a
+// are dense integer ids, the ready queue holds (instance slot, activity
+// id) pairs deduplicated by a per-instance bitmap, block links are slots
+// too, and string names appear only at API boundaries, in the journal and
+// in images. Each navigation step is described once, as a
 // fixed-size event (kind, instance, activity id, one integer, a payload
 // view), and that one event feeds both records: the journal gets a
 // RecordView of names the engine already holds (no Record is built, and
@@ -304,10 +305,8 @@ class Engine {
     observer_ = std::move(observer);
   }
 
-  /// Instance ids in creation order.
-  const std::vector<std::string>& instance_order() const {
-    return instance_order_;
-  }
+  /// Ids of the instances not detached, in creation order (a fresh copy).
+  std::vector<std::string> instance_order() const;
 
   // --- manual work ----------------------------------------------------------
 
@@ -495,22 +494,30 @@ class Engine {
   std::string NewInstanceId();
   Result<ProcessInstance*> MutableInstance(const std::string& id);
 
-  /// Creates (and journals) a new instance; readies its start activities.
-  Result<std::string> CreateInstance(const wf::ProcessDefinition* definition,
+  /// Instance `id` if top-level, unfinished and not quarantined, for the
+  /// lifecycle call `verb`.
+  Result<ProcessInstance*> LiveTopLevel(const std::string& id,
+                                        const char* verb);
+
+  /// Creates (and journals) a new instance, a block child of `parent`
+  /// unless null; readies its start activities.
+  Result<std::string> CreateInstance(const wf::ProcessDefinition* def,
                                      const data::Container* input,
-                                     const std::string& parent_instance,
-                                     const std::string& parent_activity);
+                                     ProcessInstance* parent,
+                                     uint32_t parent_activity);
 
   /// The one instance builder: a fresh start (CreateInstance), replay of
   /// kInstanceStart and a migration or snapshot image (BuildFromImage)
-  /// all come through here. Spins `inst` up from the image in `def`'s
-  /// plan: process input/output copied from its prototypes (`input`
-  /// replaces the input; non-empty images are deserialized over them), one
-  /// copy of the hot block, a default-constructed cold sidecar, then the
-  /// process-input data connectors. The caller sets the id and parent
-  /// link; no engine state is touched.
+  /// all come through here. Links `inst` under `parent` (unless null) and
+  /// spins it up from the image in `def`'s plan: process input/output
+  /// copied from its prototypes (`input` replaces the input; non-empty
+  /// images are deserialized over them), one copy of the hot block, a
+  /// default-constructed cold sidecar, then the process-input data
+  /// connectors. The caller sets the id; no engine state is touched.
   Status BuildInstance(const wf::ProcessDefinition* def,
-                       const data::Container* input, ProcessInstance* inst,
+                       const data::Container* input,
+                       const ProcessInstance* parent, uint32_t parent_activity,
+                       ProcessInstance* inst,
                        const std::string& input_image = "",
                        const std::string& output_image = "");
 
@@ -520,17 +527,15 @@ class Engine {
   void MaterializeActivityInput(ProcessInstance* inst, uint32_t aid);
   void MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid);
 
-  /// Index of the top-level instance owning `inst` (itself when
-  /// top-level): the one walk up the block tree. NotFound when a parent
-  /// link does not resolve.
-  Result<uint32_t> RootIndex(const ProcessInstance* inst) const;
+  /// Slot of the top-level instance owning `inst` (itself when
+  /// top-level): the one walk up the block tree.
+  uint32_t RootIndex(const ProcessInstance* inst) const;
 
   /// Appends `root` and its block-child subtree to `family`, parents
   /// before children: the one walk down a family, for PickDetachable's
-  /// sizes and Detach's images. NotFound when a child link does not
-  /// resolve.
-  Status CollectFamily(const ProcessInstance* root,
-                       std::vector<const ProcessInstance*>* family) const;
+  /// sizes and Detach's images.
+  void CollectFamily(const ProcessInstance* root,
+                     std::vector<const ProcessInstance*>* family) const;
 
   /// Materializes a detached family; shared by Adopt and kInstanceAdopted
   /// replay (journaling is the caller's business).
@@ -538,26 +543,31 @@ class Engine {
 
   /// The one image materializer, shared by adoption and snapshot replay:
   /// decodes every encoded image, rejects an id the engine already holds
-  /// or the list repeats, builds every member, and only then commits them
+  /// or the list repeats, resolves every link to a member's slot
+  /// (Corruption unless each parent precedes its child and child and
+  /// parent links agree), builds every member, and only then commits them
   /// all, so a rejected list leaves the engine's instances and ready
   /// queue untouched. Adoption passes its family's root id in
-  /// `adopt_root`, which must be the first image's; snapshot replay
-  /// passes null. Returns the committed slots in list order.
+  /// `adopt_root`, which must be the first image's and the family's only
+  /// top-level member; snapshot replay passes null. Returns the committed
+  /// slots in list order.
   Result<std::vector<ProcessInstance*>> MaterializeImages(
       const std::vector<std::string>& images, const std::string* adopt_root);
 
-  /// Rebuilds one family member from its image into `inst` from its
-  /// definition's plan and overlays the imaged state. Touches no
+  /// Rebuilds one family member from its image into `inst`, under the
+  /// built `parent` unless null, and overlays the imaged state. Touches no
   /// instance, queue, or counter state of the engine.
-  Status BuildFromImage(const InstanceImage& image, ProcessInstance* inst);
+  Status BuildFromImage(const InstanceImage& image,
+                        const ProcessInstance* parent,
+                        uint32_t parent_activity, ProcessInstance* inst);
 
   /// Indexes a built instance, counts its spin-up, and (outside recovery)
   /// enqueues its ready activities. Every instance enters the engine
   /// here, moved once into its slot. Returns the committed slot.
   ProcessInstance* CommitInstance(ProcessInstance&& inst);
 
-  /// Marks a family member's slot as a dead husk: detached flag, purged
-  /// ready-queue entries, id unindexed.
+  /// Marks a family member's slot as a dead husk: detached, id unindexed
+  /// (Detach purges its ready-queue entries).
   void ReleaseSlot(ProcessInstance* inst);
 
   Status ReadyStartActivities(ProcessInstance* inst);
@@ -673,13 +683,12 @@ class Engine {
   std::unique_ptr<org::WorklistService> worklists_;
 
   /// Instances in creation order; deque for stable addresses. Never
-  /// erased, so a ready-queue (instance index, activity id) pair is always
-  /// resolvable in O(1).
+  /// erased, so a ready-queue entry or a block link (a slot) always
+  /// resolves in O(1).
   std::deque<ProcessInstance> instances_;
-  /// Id → slot, for lookups only (instance_order_ is the ordered view);
-  /// hashed, since journal replay resolves an id per record.
+  /// Id → slot of every instance not detached, for ids arriving from
+  /// outside; hashed, since journal replay resolves an id per record.
   std::unordered_map<std::string, uint32_t> instance_index_;
-  std::vector<std::string> instance_order_;
   uint64_t next_instance_ = 1;
 
   std::deque<std::pair<uint32_t, uint32_t>> ready_queue_;

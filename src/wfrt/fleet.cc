@@ -226,6 +226,7 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
   // quarantined after every worker retired is stuck on manual work. An
   // instance may have migrated, so look it up wherever it lives now.
   for (size_t e = 0; e < engines_.size(); ++e) {
+    if (engines_[e]->unfinished_top_level() == 0) continue;
     for (const std::string& id : engines_[e]->instance_order()) {
       Result<const ProcessInstance*> found = engines_[e]->FindInstance(id);
       if (!found.ok()) continue;

@@ -5,14 +5,13 @@
 // eval planes, and 4-aligned int32 attempt/failures arrays — plus a cold
 // sidecar (`cold`) holding the containers, work items, and child links
 // that navigation only touches when an activity actually starts or posts
-// work. The state sweep then reads a dense byte array. String names
-// appear only at API boundaries and when the journal encodes a step or
-// the audit trail is rendered (docs/specs/event_spine.md).
+// work. The state sweep then reads a dense byte array. Block links are
+// slots; string names appear only at API boundaries and when the journal,
+// an image or the audit trail is rendered (docs/specs/event_spine.md).
 
 #ifndef EXOTICA_WFRT_INSTANCE_H_
 #define EXOTICA_WFRT_INSTANCE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -33,6 +32,9 @@ static_assert(static_cast<int>(wf::ActivityState::kDead) <= 0xFF,
 static_assert(static_cast<int>(wf::ActivityState::kWaiting) == 0,
               "packed spin-up relies on kWaiting being the zero state");
 
+/// The block link of a top-level instance or an unspawned block activity.
+inline constexpr uint32_t kNoSlot = UINT32_MAX;
+
 /// \brief Cold per-activity sidecar: everything the sweep never reads.
 /// Containers start default-constructed (no layout, no refcount traffic
 /// at spin-up) and are materialized from the plan's prototypes on first
@@ -42,7 +44,8 @@ struct ActivityCold {
   data::Container input;
   data::Container output;
   std::optional<org::WorkItemId> work_item;
-  std::string child_instance;
+  /// Slot of the block child this activity last spawned.
+  uint32_t child = kNoSlot;
 };
 
 /// \brief One executing process.
@@ -80,8 +83,8 @@ struct ProcessInstance {
                            ///< permanent program failure
   bool suspended = false;  ///< navigation paused by the user
   bool detached = false;   ///< migrated to another engine (work stealing);
-                           ///< the slot is a dead husk kept only so ready
-                           ///< queue indices stay resolvable
+                           ///< the slot is a dead husk kept so ready-queue
+                           ///< entries and block links stay resolvable
 
   /// Why the instance was quarantined (empty unless failed).
   std::string failure_reason;
@@ -90,11 +93,14 @@ struct ProcessInstance {
   /// RetryPolicy::instance_retry_budget.
   int retries_used = 0;
 
-  /// Parent link for block children (empty for top-level instances).
+  /// Parent link for block children: the parent's slot and the id of the
+  /// block activity that runs this child; `parent_instance` is the
+  /// parent's id, kept for the journal and images only.
+  uint32_t parent = kNoSlot;
+  uint32_t parent_activity = 0;
   std::string parent_instance;
-  std::string parent_activity;
 
-  bool is_child() const { return !parent_instance.empty(); }
+  bool is_child() const { return parent != kNoSlot; }
 
   uint32_t activity_count() const { return static_cast<uint32_t>(cold.size()); }
 
@@ -140,17 +146,11 @@ struct ProcessInstance {
   const std::optional<org::WorkItemId>& work_item(uint32_t aid) const {
     return cold[aid].work_item;
   }
-  std::string& child_instance(uint32_t aid) { return cold[aid].child_instance; }
-  const std::string& child_instance(uint32_t aid) const {
-    return cold[aid].child_instance;
-  }
+  uint32_t& child(uint32_t aid) { return cold[aid].child; }
+  uint32_t child(uint32_t aid) const { return cold[aid].child; }
 
   /// Ready-queue dedup byte for activity `aid`.
   uint8_t& enqueued_flag(uint32_t aid) { return hot[hl.enqueued_base + aid]; }
-  void ResetEnqueued() {
-    const uint32_t base = hl.enqueued_base;
-    std::fill(hot.begin() + base, hot.begin() + base + activity_count(), 0);
-  }
 
   /// Absolute-slot accessors into the connector-eval planes (slot indices
   /// as precomputed by the plan's per-activity bases). -1 = not yet

@@ -71,14 +71,19 @@ Result<DetachedInstance> DetachedInstance::DecodePayload(
   return d;
 }
 
-std::string EncodeInstanceImage(const ProcessInstance& inst) {
+std::string EncodeInstanceImage(const ProcessInstance& inst,
+                                const std::deque<ProcessInstance>& slots) {
   std::string out;
   // I <id> <process> <version> <parent_instance> <parent_activity>
   out += "I\t" + EscapeQuoted(inst.id) + '\t' +
          EscapeQuoted(inst.definition->name()) + '\t' +
          std::to_string(inst.definition->version()) + '\t' +
-         EscapeQuoted(inst.parent_instance) + '\t' +
-         EscapeQuoted(inst.parent_activity) + '\n';
+         EscapeQuoted(inst.parent_instance) + '\t';
+  if (inst.is_child()) {
+    out += EscapeQuoted(
+        slots[inst.parent].definition->activities()[inst.parent_activity].name);
+  }
+  out += '\n';
   // F <finished><cancelled><failed><suspended> <retries_used> <reason>
   std::string flags;
   flags += inst.finished ? '1' : '0';
@@ -108,12 +113,14 @@ std::string EncodeInstanceImage(const ProcessInstance& inst) {
       int8_t v = inst.out_eval(aid, static_cast<uint32_t>(s));
       out_evals += v < 0 ? '-' : (v == 0 ? '0' : '1');
     }
+    const uint32_t child = inst.child(aid);
     out += "A\t" + std::to_string(static_cast<int>(inst.state(aid))) + '\t' +
            std::to_string(inst.attempt(aid)) + '\t' +
            std::to_string(inst.failures(aid)) + '\t' +
-           EscapeQuoted(inst.child_instance(aid)) + '\t' + in_evals + '\t' +
-           out_evals + '\t' + EscapeQuoted(inst.activity_input(aid).Serialize()) +
-           '\t' + EscapeQuoted(inst.activity_output(aid).Serialize()) + '\n';
+           (child == kNoSlot ? "" : EscapeQuoted(slots[child].id)) + '\t' +
+           in_evals + '\t' + out_evals + '\t' +
+           EscapeQuoted(inst.activity_input(aid).Serialize()) + '\t' +
+           EscapeQuoted(inst.activity_output(aid).Serialize()) + '\n';
   }
   return out;
 }

@@ -22,6 +22,7 @@
 #define EXOTICA_WFRT_MIGRATE_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,12 @@ struct InstanceImage {
   std::vector<ActivityImage> activities;
 };
 
-/// Serializes one instance's migratable state. The caller is responsible
-/// for eligibility (no posted work items, no in-flight async programs).
-std::string EncodeInstanceImage(const ProcessInstance& inst);
+/// Serializes one instance's migratable state, rendering its block links
+/// as ids and names through `slots`, the engine's slot table. The caller
+/// is responsible for eligibility (no posted work items, no in-flight
+/// async programs).
+std::string EncodeInstanceImage(const ProcessInstance& inst,
+                                const std::deque<ProcessInstance>& slots);
 
 /// Inverse of EncodeInstanceImage. Corruption on malformed images.
 Result<InstanceImage> DecodeInstanceImage(const std::string& image);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "wf/builder.h"
+#include "wfjournal/journal.h"
 #include "wfrt/engine.h"
 #include "../testutil.h"
 
@@ -117,6 +119,58 @@ TEST_F(BlockTest, ExitConditionLoopsBlock) {
   // One parent + three child instances (two rescheduled runs).
   EXPECT_EQ(engine.stats().instances_started, 4u);
   EXPECT_EQ(engine.stats().reschedules, 2u);
+}
+
+// Each iteration of a looped block spawns a fresh child, and the block's
+// child link moves to the newest one, while the earlier children still
+// name the parent. Detaching the family mid-loop carries the root and the
+// current child only; the finished first child stays behind on the
+// victim. A checkpoint must drop it with the family's husks, or every
+// later snapshot carries a child whose parent resolves nowhere.
+TEST_F(BlockTest, CheckpointDropsADetachedLoopsEarlierChild) {
+  ASSERT_TRUE(DeclareDefaultProgram(&store_, "flaky").ok());
+  auto calls = std::make_shared<int>(0);
+  ASSERT_TRUE(programs_
+                  .Bind("flaky",
+                        [calls](const data::Container&, data::Container* out,
+                                const wfrt::ProgramContext&) -> Status {
+                          int64_t rc = ++*calls < 2 ? 1 : 0;
+                          return out->Set("RC", data::Value(rc));
+                        })
+                  .ok());
+  wf::ProcessBuilder inner(&store_, "body");
+  inner.Program("X", "flaky");
+  inner.MapToOutput("X", {{"RC", "RC"}});
+  ASSERT_TRUE(inner.Register().ok());
+  wf::ProcessBuilder outer(&store_, "looped");
+  outer.Block("B", "body").ExitWhen("RC = 0");
+  outer.MapToOutput("B", {{"RC", "RC"}});
+  ASSERT_TRUE(outer.Register().ok());
+
+  wfrt::EngineOptions options;
+  options.instance_id_prefix = "a:";
+  wfjournal::MemoryJournal journal;
+  wfrt::Engine victim(&store_, &programs_, options);
+  ASSERT_TRUE(victim.AttachJournal(&journal).ok());
+  auto root = victim.StartProcess("looped");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  bool quiescent = false;
+  // Spawn a:wf-2, run it (RC 1: the exit condition fails), spawn a:wf-3.
+  ASSERT_TRUE(victim.RunSlice(3, &quiescent).ok());
+  auto detached = victim.Detach(*root);
+  ASSERT_TRUE(detached.ok()) << detached.status().ToString();
+  ASSERT_EQ(detached->images.size(), 2u);  // the root and a:wf-3
+  ASSERT_TRUE(victim.IsFinished("a:wf-2"));
+
+  ASSERT_TRUE(victim.Checkpoint().ok());
+  const wfrt::AuditEvent& checkpoint = victim.audit().events().back();
+  ASSERT_EQ(checkpoint.kind, wfrt::AuditKind::kCheckpoint);
+  EXPECT_TRUE(StartsWith(checkpoint.detail, "0 live,")) << checkpoint.detail;
+
+  wfrt::Engine recovered(&store_, &programs_, options);
+  ASSERT_TRUE(recovered.AttachJournal(&journal).ok());
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_TRUE(recovered.instance_order().empty());
 }
 
 TEST_F(BlockTest, DeadBlockNeverSpawnsChild) {

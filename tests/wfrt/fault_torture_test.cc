@@ -245,7 +245,7 @@ TEST(FaultTortureTest, SagaSurvivesJournalFaultAtEveryAppendIndex) {
         continue;
       }
       ASSERT_FALSE(engine.instance_order().empty());
-      const std::string& id = engine.instance_order()[0];
+      const std::string id = engine.instance_order()[0];
       ASSERT_TRUE(engine.IsFinished(id));
       CheckSagaGuarantee(runner, abort_at);
     }
@@ -390,7 +390,7 @@ TEST(FaultTortureTest, FlexSurvivesJournalFaultAtEveryAppendIndex) {
         continue;
       }
       ASSERT_FALSE(engine.instance_order().empty());
-      const std::string& id = engine.instance_order()[0];
+      const std::string id = engine.instance_order()[0];
       ASSERT_TRUE(engine.IsFinished(id));
       EXPECT_EQ(AsSet(runner.effective()), reference);
     }

@@ -7,6 +7,10 @@
 // in-flight activities re-run from the beginning (at-least-once).
 
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +191,66 @@ TEST_F(RecoveryTest, RecoverRequiresJournalAndFreshEngine) {
   ASSERT_TRUE(with_journal.AttachJournal(&journal).ok());
   ASSERT_TRUE(with_journal.StartProcess("ref").ok());
   EXPECT_TRUE(with_journal.Recover().IsFailedPrecondition());
+}
+
+// Replay accepts only what a writer produces. A number with trailing
+// text is not read as its leading digits, and a record whose type digit
+// took a one-bit flip (READY's 1, 0x31, to 0x39) is not replayed as a
+// type no writer emits.
+TEST_F(RecoveryTest, ReplayRejectsNumbersAndTypesNoWriterProduces) {
+  using wfjournal::EventType;
+  using wfjournal::Record;
+  BindFlaky(&programs_);
+  wfjournal::MemoryJournal source;
+  wfrt::Engine engine(&store_, &programs_);
+  ASSERT_TRUE(engine.AttachJournal(&source).ok());
+  ASSERT_TRUE(engine.RunToCompletion("ref").ok());
+  auto history = source.ReadAll();
+  ASSERT_TRUE(history.ok());
+  ASSERT_TRUE(engine.StartProcess("ref").ok());  // live, so snapshotted
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  auto tail = source.ReadAll();
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(tail->back().type, EventType::kSnapshot);
+  ASSERT_FALSE(tail->back().extra.empty());
+
+  // `records` with the first record of `type` passed through `edit`.
+  auto edited = [](std::vector<Record> records, EventType type,
+                   const std::function<void(Record*)>& edit) {
+    for (Record& r : records) {
+      if (r.type != type) continue;
+      edit(&r);
+      break;
+    }
+    return records;
+  };
+  const std::vector<std::pair<std::string, std::vector<Record>>> cases = {
+      {"attempt x9", edited(*history, EventType::kActivityStarted,
+                            [](Record* r) { r->payload = "x9"; })},
+      {"version v1x", edited(*history, EventType::kInstanceStart,
+                             [](Record* r) { r->payload = "v1x:ref"; })},
+      {"snapshot counter 12a", edited(*tail, EventType::kSnapshot,
+                                      [](Record* r) { r->extra = "12a"; })},
+      {"READY type digit 1 -> 9",
+       edited(*history, EventType::kActivityReady, [](Record* r) {
+         std::string line = r->Encode();
+         const size_t type = line.find('\t') + 1;
+         ASSERT_EQ(line.substr(type, 2), "1\t");
+         line[type] = '9';
+         auto flipped = Record::Decode(line);
+         ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
+         *r = *flipped;
+       })},
+  };
+  for (const auto& [name, records] : cases) {
+    SCOPED_TRACE(name);
+    wfjournal::MemoryJournal journal;
+    for (const Record& r : records) ASSERT_TRUE(journal.Append(r).ok());
+    wfrt::Engine recovered(&store_, &programs_);
+    ASSERT_TRUE(recovered.AttachJournal(&journal).ok());
+    Status st = recovered.Recover();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
 }
 
 }  // namespace

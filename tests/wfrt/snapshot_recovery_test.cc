@@ -167,6 +167,42 @@ TEST_F(SnapshotRecoveryTest, DuplicateImageInSnapshotFailsRecovery) {
   EXPECT_NE(st.ToString().find(*live), std::string::npos) << st.ToString();
 }
 
+TEST_F(SnapshotRecoveryTest, MemberWithParentOutsideTheListFailsRecovery) {
+  wf::ProcessBuilder outer(&store_, "outer");
+  outer.Block("Sub", "chain");
+  outer.MapToOutput("Sub", {{"RC", "RC"}});
+  ASSERT_TRUE(outer.Register().ok());
+
+  MemoryJournal source;
+  wfrt::Engine engine(&store_, &programs_);
+  ASSERT_TRUE(engine.AttachJournal(&source).ok());
+  auto root = engine.StartProcess("outer");
+  ASSERT_TRUE(root.ok());
+  bool quiescent = false;
+  ASSERT_TRUE(engine.RunSlice(1, &quiescent).ok());  // spawns the child
+  const std::vector<std::string> ids = engine.instance_order();
+  ASSERT_EQ(ids.size(), 2u);
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  auto records = source.ReadAll();
+  ASSERT_TRUE(records.ok());
+  wfjournal::Record snapshot = records->back();
+  ASSERT_EQ(snapshot.type, EventType::kSnapshot);
+
+  // Drop the root's image line: the child's parent link names no member.
+  const size_t newline = snapshot.payload.find('\n');
+  ASSERT_NE(newline, std::string::npos);
+  snapshot.payload.erase(0, newline + 1);
+  MemoryJournal corrupt;
+  ASSERT_TRUE(corrupt.Append(snapshot).ok());
+  wfrt::Engine recovered(&store_, &programs_);
+  ASSERT_TRUE(recovered.AttachJournal(&corrupt).ok());
+  Status st = recovered.Recover();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find(ids[1]), std::string::npos) << st.ToString();
+  EXPECT_TRUE(recovered.instance_order().empty());
+}
+
 TEST_F(SnapshotRecoveryTest, SnapshotIntervalCheckpointsAutomatically) {
   std::string path = TempPath("exo_snap_auto.log");
   auto journal = FileJournal::Open(path);

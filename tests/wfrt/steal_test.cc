@@ -398,6 +398,20 @@ TEST(StealTest, RejectedAdoptLeavesThiefUntouched) {
        false},
       {"bad child image", {root, EditImageLine(child, "A", 2, -1)}, true},
       {"duplicate member id", {root, root}, false},
+      {"child link naming a non-member",
+       {EditImageLine(root, "A", 1, 4, EscapeQuoted("a:wf-99")), child},
+       true},
+      {"member whose parent is not in the family",
+       {root, EditImageLine(child, "I", 0, 4, EscapeQuoted("a:wf-99"))},
+       true},
+      {"member that names itself as parent",
+       {root, EditImageLine(child, "I", 0, 4, EscapeQuoted("a:wf-2"))},
+       true},
+      {"unknown parent activity",
+       {root, EditImageLine(child, "I", 0, 5, EscapeQuoted("Nope"))}, true},
+      {"root image that names a parent",
+       {EditImageLine(root, "I", 0, 4, EscapeQuoted("a:wf-2")), child},
+       false},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -425,6 +439,177 @@ TEST(StealTest, RejectedAdoptLeavesThiefUntouched) {
     EXPECT_EQ(thief.OutputOf(*id)->Get("RC")->as_long(), 0);
     EXPECT_EQ(thief.unfinished_top_level(), 0u);
   }
+}
+
+// Registers top -> block Mid -> block Leaf -> the three-step chain
+// "leaf", and detaches a "top" instance from an "a:" engine once the
+// chain's first step ran: a three-level family, mid-run at every level.
+void DetachThreeLevelFamily(wf::DefinitionStore* store,
+                            wfrt::ProgramRegistry* programs,
+                            wfrt::DetachedInstance* family) {
+  ASSERT_TRUE(DeclareDefaultProgram(store, "ok").ok());
+  ASSERT_TRUE(BindConstRc(programs, "ok", 0).ok());
+  RegisterChain(store, "leaf", 3, "ok");
+  {
+    wf::ProcessBuilder b(store, "mid");
+    b.Block("Leaf", "leaf");
+    b.MapToOutput("Leaf", {{"RC", "RC"}});
+    ASSERT_TRUE(b.Register().ok());
+  }
+  {
+    wf::ProcessBuilder b(store, "top");
+    b.Program("Pre", "ok");
+    b.Block("Mid", "mid");
+    b.Program("Post", "ok");
+    b.Connect("Pre", "Mid");
+    b.Connect("Mid", "Post");
+    b.MapToOutput("Post", {{"RC", "RC"}});
+    ASSERT_TRUE(b.Register().ok());
+  }
+  wfrt::Engine victim(store, programs, Prefixed("a:"));
+  auto root = victim.StartProcess("top");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  bool quiescent = false;
+  // Pre; Mid spawns a:wf-2; its Leaf spawns a:wf-3; leaf step A1.
+  ASSERT_TRUE(victim.RunSlice(4, &quiescent).ok());
+  auto detached = victim.Detach(*root);
+  ASSERT_TRUE(detached.ok()) << detached.status().ToString();
+  ASSERT_EQ(detached->images.size(), 3u);
+  *family = std::move(*detached);
+}
+
+// Adopted behind a slot of the thief's own, the family's links still
+// reach every level: suspension, resumption and cancellation sweep all
+// three, live and on replay of the thief's journal.
+TEST(StealTest, AdoptedThreeLevelFamilyIsSweptAtEveryLevel) {
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  wfrt::DetachedInstance family;
+  DetachThreeLevelFamily(&store, &programs, &family);
+  ASSERT_FALSE(HasFatalFailure());
+  const std::vector<std::string> ids = {family.root_id, "a:wf-2", "a:wf-3"};
+
+  MemoryJournal journal;
+  wfrt::Engine thief(&store, &programs, Prefixed("b:"));
+  ASSERT_TRUE(thief.AttachJournal(&journal).ok());
+  ASSERT_TRUE(thief.StartProcess("leaf").ok());
+  ASSERT_TRUE(thief.Adopt(family).ok());
+
+  // Recovers a copy of the thief's journal as it stands.
+  auto recover = [&](wfrt::Engine* engine, MemoryJournal* copy) {
+    auto records = journal.ReadAll();
+    ASSERT_TRUE(records.ok());
+    for (const wfjournal::Record& r : *records) {
+      ASSERT_TRUE(copy->Append(r).ok());
+    }
+    ASSERT_TRUE(engine->AttachJournal(copy).ok());
+    Status st = engine->Recover();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+
+  ASSERT_TRUE(thief.SuspendInstance(family.root_id).ok());
+  for (const std::string& id : ids) EXPECT_TRUE(thief.IsSuspended(id)) << id;
+  {
+    MemoryJournal copy;
+    wfrt::Engine recovered(&store, &programs, Prefixed("b:"));
+    recover(&recovered, &copy);
+    for (const std::string& id : ids) {
+      EXPECT_TRUE(recovered.IsSuspended(id)) << id;
+    }
+  }
+  ASSERT_TRUE(thief.ResumeSuspended(family.root_id).ok());
+  for (const std::string& id : ids) EXPECT_FALSE(thief.IsSuspended(id)) << id;
+  ASSERT_TRUE(thief.CancelInstance(family.root_id).ok());
+
+  MemoryJournal copy;
+  wfrt::Engine recovered(&store, &programs, Prefixed("b:"));
+  recover(&recovered, &copy);
+  for (const std::string& id : ids) {
+    SCOPED_TRACE(id);
+    EXPECT_TRUE(thief.IsCancelled(id));
+    EXPECT_TRUE(thief.IsFinished(id));
+    EXPECT_TRUE(recovered.IsCancelled(id));
+    EXPECT_FALSE(recovered.IsSuspended(id));
+    auto inst = thief.FindInstance(id);
+    ASSERT_TRUE(inst.ok());
+    for (const wf::Activity& a : (*inst)->definition->activities()) {
+      EXPECT_EQ(*recovered.StateOf(id, a.name), *thief.StateOf(id, a.name))
+          << a.name;
+    }
+  }
+}
+
+// The image bytes of that family, and of a checkpoint that holds it behind
+// a slot of the thief's own: images name parents, parent activities and
+// children by id and name, whatever the engines' slots are.
+TEST(StealTest, ThreeLevelFamilyImagesMatchGolden) {
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  wfrt::DetachedInstance family;
+  DetachThreeLevelFamily(&store, &programs, &family);
+  ASSERT_FALSE(HasFatalFailure());
+  const std::vector<std::string> kImages = {
+      "I\ta:wf-1\ttop\t1\t\t\n"
+      "F\t0000\t0\t\n"
+      "D\t\t\n"
+      "A\t4\t1\t0\t\t\t1\t\tRC=0\\n\n"
+      "A\t2\t1\t0\ta:wf-2\t1\t-\t\t\n"
+      "A\t0\t0\t0\t\t-\t\t\t\n",
+      "I\ta:wf-2\tmid\t1\ta:wf-1\tMid\n"
+      "F\t0000\t0\t\n"
+      "D\t\t\n"
+      "A\t2\t1\t0\ta:wf-3\t\t\t\t\n",
+      "I\ta:wf-3\tleaf\t1\ta:wf-2\tLeaf\n"
+      "F\t0000\t0\t\n"
+      "D\t\t\n"
+      "A\t4\t1\t0\t\t\t1\t\tRC=0\\n\n"
+      "A\t1\t0\t0\t\t1\t-\t\t\n"
+      "A\t0\t0\t0\t\t-\t\t\t\n",
+  };
+  EXPECT_EQ(family.images, kImages);
+
+  MemoryJournal journal;
+  wfrt::Engine thief(&store, &programs, Prefixed("b:"));
+  ASSERT_TRUE(thief.AttachJournal(&journal).ok());
+  ASSERT_TRUE(thief.StartProcess("leaf").ok());
+  ASSERT_TRUE(thief.Adopt(family).ok());
+  ASSERT_TRUE(thief.SuspendInstance(family.root_id).ok());
+  ASSERT_TRUE(thief.Checkpoint().ok());
+  auto records = journal.ReadAll();
+  ASSERT_TRUE(records.ok());
+  const wfjournal::Record& snapshot = records->back();
+  ASSERT_EQ(snapshot.type, wfjournal::EventType::kSnapshot);
+  // One escaped image per line: the thief's own instance, then the
+  // family, now suspended.
+  const std::string kPayload =
+      "I\\tb:wf-1\\tleaf\\t1\\t\\t\\n"
+      "F\\t0000\\t0\\t\\n"
+      "D\\t\\t\\n"
+      "A\\t1\\t0\\t0\\t\\t\\t-\\t\\t\\n"
+      "A\\t0\\t0\\t0\\t\\t-\\t-\\t\\t\\n"
+      "A\\t0\\t0\\t0\\t\\t-\\t\\t\\t\\n"
+      "\n"
+      "I\\ta:wf-1\\ttop\\t1\\t\\t\\n"
+      "F\\t0001\\t0\\t\\n"
+      "D\\t\\t\\n"
+      "A\\t4\\t1\\t0\\t\\t\\t1\\t\\tRC=0\\\\n\\n"
+      "A\\t2\\t1\\t0\\ta:wf-2\\t1\\t-\\t\\t\\n"
+      "A\\t0\\t0\\t0\\t\\t-\\t\\t\\t\\n"
+      "\n"
+      "I\\ta:wf-2\\tmid\\t1\\ta:wf-1\\tMid\\n"
+      "F\\t0001\\t0\\t\\n"
+      "D\\t\\t\\n"
+      "A\\t2\\t1\\t0\\ta:wf-3\\t\\t\\t\\t\\n"
+      "\n"
+      "I\\ta:wf-3\\tleaf\\t1\\ta:wf-2\\tLeaf\\n"
+      "F\\t0001\\t0\\t\\n"
+      "D\\t\\t\\n"
+      "A\\t4\\t1\\t0\\t\\t\\t1\\t\\tRC=0\\\\n\\n"
+      "A\\t1\\t0\\t0\\t\\t1\\t-\\t\\t\\n"
+      "A\\t0\\t0\\t0\\t\\t-\\t\\t\\t\\n"
+      "\n";
+  EXPECT_EQ(snapshot.payload, kPayload);
+  EXPECT_EQ(snapshot.extra, "2");
 }
 
 TEST(StealTest, MigrationSurvivesCrashRecoveryOnBothSides) {
