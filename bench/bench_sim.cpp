@@ -1,5 +1,6 @@
 // Simulation throughput (§3.3 "simulation" feature): virtual executions
-// per second vs process size, branching, and role contention.
+// per second vs process size and role contention, and what simulating
+// costs on top of executing the process on the engine.
 
 #include <benchmark/benchmark.h>
 
@@ -31,8 +32,10 @@ void BM_SimulateChain(benchmark::State& state) {
 BENCHMARK(BM_SimulateChain)->Arg(10)->Arg(100);
 
 void BM_SimulateVsExecute(benchmark::State& state) {
-  // How much faster is simulating a process than executing it (with
-  // no-op programs — the engine's floor)?
+  // What simulating costs on top of the engine floor: a simulated trial
+  // runs the same engine as an execution with no-op programs, plus the
+  // simulator's event queue, sampled durations and RCs, and the
+  // CompleteAsync report of every finish.
   const int n = 50;
   const bool simulate = state.range(0) == 1;
   wf::DefinitionStore store;

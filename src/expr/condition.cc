@@ -15,11 +15,6 @@ const std::string& Condition::source() const {
   return is_trivial() ? kTrue : source_;
 }
 
-Result<bool> Condition::Evaluate(const ValueResolver& resolver) const {
-  if (is_trivial()) return true;
-  return EvaluateBool(*root_, resolver);
-}
-
 std::vector<std::string> Condition::Identifiers() const {
   std::vector<std::string> out;
   if (root_) root_->CollectIdentifiers(&out);

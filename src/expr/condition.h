@@ -1,8 +1,9 @@
 // Condition: a compiled, shareable condition expression.
 //
-// Process definitions store Conditions; the runtime evaluates them against
-// per-site resolvers. A default-constructed Condition is "always true",
-// which models FlowMark connectors without an explicit transition condition.
+// Process definitions store Conditions; registration compiles each one
+// into the plan's condition program (expr/compile.h), which the engine
+// runs. A default-constructed Condition is "always true", which models
+// FlowMark connectors without an explicit transition condition.
 
 #ifndef EXOTICA_EXPR_CONDITION_H_
 #define EXOTICA_EXPR_CONDITION_H_
@@ -13,7 +14,6 @@
 
 #include "common/result.h"
 #include "expr/ast.h"
-#include "expr/eval.h"
 #include "expr/parser.h"
 
 namespace exotica::expr {
@@ -32,9 +32,6 @@ class Condition {
 
   /// The source text; "TRUE" for trivial conditions.
   const std::string& source() const;
-
-  /// Evaluates against `resolver`. Trivial conditions are true.
-  Result<bool> Evaluate(const ValueResolver& resolver) const;
 
   /// Identifiers referenced by this condition (empty for trivial).
   std::vector<std::string> Identifiers() const;

@@ -95,7 +95,7 @@ class NavigationPlan {
   /// \brief Per-activity adjacency and dispatch flags.
   struct ActivityInfo {
     /// Outgoing / incoming control connector indices, insertion order
-    /// (identical to ProcessDefinition::OutgoingControl / IncomingControl).
+    /// (the outgoing list is ProcessDefinition::OutgoingControl's).
     std::vector<uint32_t> out_control;
     std::vector<uint32_t> in_control;
     /// Data connector indices whose source is this activity's output.

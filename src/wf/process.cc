@@ -55,7 +55,6 @@ Status ProcessDefinition::AddControlConnector(ControlConnector connector) {
   }
   plan_.reset();
   control_out_[connector.from].push_back(control_.size());
-  control_in_[connector.to].push_back(control_.size());
   control_.push_back(std::move(connector));
   return Status::OK();
 }
@@ -79,19 +78,8 @@ Status ProcessDefinition::AddDataConnector(DataConnector connector) {
         "data connector may not write to the process input container");
   }
   plan_.reset();
-  data_out_[DataKey(connector.from)].push_back(data_.size());
-  data_in_[DataKey(connector.to)].push_back(data_.size());
   data_.push_back(std::move(connector));
   return Status::OK();
-}
-
-std::string ProcessDefinition::DataKey(const DataEndpoint& endpoint) {
-  switch (endpoint.kind) {
-    case DataEndpoint::Kind::kActivity: return "a:" + endpoint.activity;
-    case DataEndpoint::Kind::kProcessInput: return "<in>";
-    case DataEndpoint::Kind::kProcessOutput: return "<out>";
-  }
-  return "?";
 }
 
 Result<const Activity*> ProcessDefinition::FindActivity(
@@ -111,40 +99,10 @@ Result<size_t> ProcessDefinition::ActivityIndex(const std::string& name) const {
   return it->second;
 }
 
-namespace {
-std::vector<size_t> Lookup(const std::map<std::string, std::vector<size_t>>& m,
-                           const std::string& key) {
-  auto it = m.find(key);
-  return it == m.end() ? std::vector<size_t>{} : it->second;
-}
-}  // namespace
-
 std::vector<size_t> ProcessDefinition::OutgoingControl(
     const std::string& activity) const {
-  return Lookup(control_out_, activity);
-}
-
-std::vector<size_t> ProcessDefinition::IncomingControl(
-    const std::string& activity) const {
-  return Lookup(control_in_, activity);
-}
-
-std::vector<size_t> ProcessDefinition::IncomingData(
-    const DataEndpoint& endpoint) const {
-  return Lookup(data_in_, DataKey(endpoint));
-}
-
-std::vector<size_t> ProcessDefinition::OutgoingData(
-    const DataEndpoint& endpoint) const {
-  return Lookup(data_out_, DataKey(endpoint));
-}
-
-std::vector<std::string> ProcessDefinition::StartActivities() const {
-  std::vector<std::string> out;
-  for (const Activity& a : activities_) {
-    if (IncomingControl(a.name).empty()) out.push_back(a.name);
-  }
-  return out;
+  auto it = control_out_.find(activity);
+  return it == control_out_.end() ? std::vector<size_t>{} : it->second;
 }
 
 Result<std::vector<std::string>> ProcessDefinition::TopologicalOrder() const {

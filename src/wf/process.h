@@ -75,17 +75,8 @@ class ProcessDefinition {
     return *plan_;
   }
 
-  /// Indices into control_connectors() with the given source / target.
+  /// Indices into control_connectors() with the given source.
   std::vector<size_t> OutgoingControl(const std::string& activity) const;
-  std::vector<size_t> IncomingControl(const std::string& activity) const;
-
-  /// Indices into data_connectors() whose target is the given endpoint.
-  std::vector<size_t> IncomingData(const DataEndpoint& endpoint) const;
-  std::vector<size_t> OutgoingData(const DataEndpoint& endpoint) const;
-
-  /// Activities with no incoming control connectors — the paper's start
-  /// activities, set ready when the process starts.
-  std::vector<std::string> StartActivities() const;
 
   /// Topological order of activity names. ValidationError if cyclic.
   Result<std::vector<std::string>> TopologicalOrder() const;
@@ -100,8 +91,6 @@ class ProcessDefinition {
   std::string input_type_ = data::TypeRegistry::kDefaultTypeName;
   std::string output_type_ = data::TypeRegistry::kDefaultTypeName;
 
-  static std::string DataKey(const DataEndpoint& endpoint);
-
   std::vector<Activity> activities_;
   /// Name → activity id; hashed, since journal replay resolves a name per
   /// record.
@@ -109,13 +98,11 @@ class ProcessDefinition {
   std::vector<ControlConnector> control_;
   std::vector<DataConnector> data_;
 
-  // Adjacency indexes, maintained by the Add* methods so topology queries
-  // are O(degree) instead of O(edges) — dead path elimination sweeps and
-  // the navigator hit these constantly.
+  // Source -> outgoing control connectors, maintained by
+  // AddControlConnector for the duplicate check and the graph walks
+  // (TopologicalOrder, HasControlPath). Navigation reads the compiled
+  // plan's adjacency instead.
   std::map<std::string, std::vector<size_t>> control_out_;
-  std::map<std::string, std::vector<size_t>> control_in_;
-  std::map<std::string, std::vector<size_t>> data_out_;
-  std::map<std::string, std::vector<size_t>> data_in_;
 
   // The plan DefinitionStore::AddProcess compiled. It holds no pointers
   // into this object, so copies may share it.

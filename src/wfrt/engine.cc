@@ -1604,6 +1604,9 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       inst->SetState(aid, ActivityState::kRunning);
       inst->attempt(aid) = static_cast<int32_t>(attempt);
       inst->activity_output(aid) = inst->plan->activity_output(aid);
+      // A looped block's earlier child is finished; this attempt's child
+      // relinks on its INSTANCE_START, or the block re-runs on resume.
+      if (inst->plan->activity(aid).block) inst->child(aid) = kNoSlot;
       return Status::OK();
     }
     case EventType::kActivityFinished:

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <queue>
+#include <functional>
+#include <optional>
+#include <set>
+#include <utility>
 
-#include "data/container.h"
-#include "expr/eval.h"
+#include "org/directory.h"
+#include "wfrt/engine.h"
 
 namespace exotica::wfsim {
 
@@ -54,322 +57,250 @@ Micros SimResult::MakespanMax() const {
 
 namespace {
 
-using wf::ActivityState;
-
-/// One virtual execution of one process tree.
-class Trial {
+/// The discrete-event simulation of one Simulate call. Every declared
+/// program is bound to Execute, and each manual activity's role is
+/// staffed by one directory person of the same name, with a count of how
+/// many of the role's people are free. Each trial runs a fresh engine
+/// whose clock is the virtual time: a program samples its attempt's
+/// duration and stays pending, and the finish is reported through
+/// CompleteAsync when the virtual clock reaches it.
+class Simulator {
  public:
-  Trial(const wf::DefinitionStore& store, const SimConfig& config, Rng* rng,
-        SimResult* result)
-      : store_(store), config_(config), rng_(rng), result_(result) {}
+  Simulator(const wf::DefinitionStore& store, const SimConfig& config,
+            SimResult* result)
+      : store_(store), config_(config), result_(result), rng_(config.seed) {
+    options_.clock = &clock_;
+    options_.audit_enabled = false;
+    // Simulated programs write only RC: a condition over a member nothing
+    // wrote is a design-time unknown and reads false.
+    options_.condition_error_is_false = true;
+    options_.max_exit_retries = config.max_exit_retries;
+    options_.retry.max_attempts = config.max_crash_retries;
+  }
+  // The bound programs hold `this`.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
-  /// Runs the root process; returns the makespan.
-  Result<Micros> Run(const wf::ProcessDefinition* root) {
-    EXO_RETURN_NOT_OK(Spawn(root, 0, -1, ""));
-    EXO_RETURN_NOT_OK(Loop());
-    return finish_time_;
+  /// Binds the programs and staffs the roles.
+  Status Setup() {
+    for (const std::string& name : store_.ProgramNames()) {
+      EXO_RETURN_NOT_OK(programs_.Bind(
+          name, [this](const data::Container&, data::Container* output,
+                       const wfrt::ProgramContext& context) {
+            return Execute(*output, context);
+          }));
+    }
+    std::set<std::string> roles;
+    for (const std::string& name : store_.ProcessNames()) {
+      EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* def,
+                           store_.FindProcess(name));
+      for (const wf::Activity& a : def->activities()) {
+        if (a.start_mode == wf::StartMode::kManual && !a.role.empty()) {
+          roles.insert(a.role);
+        }
+      }
+    }
+    for (const std::string& role : roles) {
+      EXO_RETURN_NOT_OK(staff_.AddRole(role));
+      EXO_RETURN_NOT_OK(staff_.AddPerson(role, 0, {role}));
+    }
+    return Status::OK();
+  }
+
+  /// One virtual execution of `process`; returns its makespan.
+  Result<Micros> RunTrial(const std::string& process) {
+    clock_.Set(0);
+    engine_.emplace(&store_, &programs_, options_);
+    EXO_RETURN_NOT_OK(engine_->AttachOrganization(&staff_));
+    finishes_.clear();
+    due_.clear();
+    free_.clear();
+    waiting_.clear();
+    lost_.clear();
+    next_item_ = 1;
+
+    EXO_ASSIGN_OR_RETURN(std::string root, engine_->StartProcess(process));
+    Status run = Drive(root);
+    // A quarantine ends the trial: report it rather than the completion
+    // it cut short.
+    if (engine_->IsFailed(root)) {
+      return Status::FailedPrecondition(
+          "simulated " + engine_->FailedInstances().front().reason);
+    }
+    EXO_RETURN_NOT_OK(run);
+    if (!engine_->IsFinished(root)) {
+      return Status::Internal("simulation deadlocked: root never finished");
+    }
+    EXO_RETURN_NOT_OK(Tally());
+    return clock_.NowMicros();  // the root finished at the last report
   }
 
  private:
-  struct SimActivity {
-    ActivityState state = ActivityState::kWaiting;
-    std::map<size_t, bool> incoming;
-    int attempts = 0;
-    int crashes = 0;
-    int64_t rc = 0;
-    Micros queued_at = 0;  ///< manual: when it entered the role queue
-  };
-
-  struct SimInstance {
-    const wf::ProcessDefinition* def = nullptr;
-    std::map<std::string, SimActivity> acts;
-    bool finished = false;
-    int parent = -1;
-    std::string parent_activity;
-  };
-
-  struct Event {
-    Micros at;
-    uint64_t seq;
-    int instance;
+  /// What CompleteAsync needs to report a pending attempt's finish.
+  struct Finish {
+    std::string instance;
     std::string activity;
-    bool operator>(const Event& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
+    std::string person;     ///< manual: the role's person it holds
+    data::Container output; ///< the attempt's fresh output container
   };
+
+  /// Reports finishes in virtual-time order until none is pending or the
+  /// root is quarantined.
+  Status Drive(const std::string& root) {
+    EXO_RETURN_NOT_OK(engine_->Run());
+    EXO_RETURN_NOT_OK(AssignPosted());
+    while (!due_.empty() && !engine_->IsFailed(root)) {
+      std::pop_heap(due_.begin(), due_.end(), std::greater<>());
+      const auto [at, seq] = due_.back();
+      due_.pop_back();
+      Finish f = std::move(finishes_[seq]);
+      clock_.Set(at);
+      const int64_t rc = ProfileOf(f.activity).SampleRc(&rng_);
+      if (f.output.HasPath("RC")) {
+        EXO_RETURN_NOT_OK(f.output.Set("RC", data::Value(rc)));
+      }
+      // The person is free before the exit condition is checked, so a
+      // rescheduled manual activity queues behind the role's waiting work.
+      if (!f.person.empty()) EXO_RETURN_NOT_OK(Release(f.person));
+      EXO_RETURN_NOT_OK(engine_->CompleteAsync(f.instance, f.activity,
+                                               f.output));
+      EXO_RETURN_NOT_OK(AssignPosted());
+    }
+    return Status::OK();
+  }
 
   const ActivityProfile& ProfileOf(const std::string& name) const {
     auto it = config_.profiles.find(name);
     return it == config_.profiles.end() ? config_.default_profile : it->second;
   }
 
-  int RoleCapacity(const std::string& role) {
+  int Capacity(const std::string& role) const {
     auto it = config_.role_capacity.find(role);
     return it == config_.role_capacity.end() ? 1 : it->second;
   }
 
-  Status Spawn(const wf::ProcessDefinition* def, Micros now, int parent,
-               const std::string& parent_activity) {
-    SimInstance inst;
-    inst.def = def;
-    inst.parent = parent;
-    inst.parent_activity = parent_activity;
-    for (const wf::Activity& a : def->activities()) {
-      inst.acts.emplace(a.name, SimActivity{});
+  /// The program: samples the attempt's duration, then either crashes
+  /// (its time is carried to the re-run) or stays pending until its
+  /// finish.
+  Status Execute(const data::Container& output,
+                 const wfrt::ProgramContext& context) {
+    const ActivityProfile& profile = ProfileOf(context.activity);
+    const Micros took = profile.duration.Sample(&rng_);
+    ActivityStats& stats = result_->activities[context.activity];
+    stats.busy_micros += took;
+    if (!context.person.empty()) {
+      RoleStats& role = result_->roles[context.person];
+      role.capacity = Capacity(context.person);
+      role.busy_micros += took;
     }
-    instances_.push_back(std::move(inst));
-    int idx = static_cast<int>(instances_.size()) - 1;
-    for (const std::string& name : def->StartActivities()) {
-      EXO_RETURN_NOT_OK(MakeReady(idx, name, now));
+    std::pair<std::string, std::string> key(context.instance_id,
+                                            context.activity);
+    if (profile.crash_probability > 0.0 &&
+        rng_.NextDouble() < profile.crash_probability) {
+      ++stats.crashes;
+      lost_[key] += took;
+      return Status::Internal("simulated crash");
+    }
+    Micros at = clock_.NowMicros() + took;
+    if (auto it = lost_.find(key); it != lost_.end()) {
+      at += it->second;
+      lost_.erase(it);
+    }
+    due_.emplace_back(at, finishes_.size());
+    std::push_heap(due_.begin(), due_.end(), std::greater<>());
+    finishes_.push_back(Finish{std::move(key.first), std::move(key.second),
+                               context.person, output});
+    return Status::Pending("simulated");
+  }
+
+  /// Hands each work item posted since the last call to a free person of
+  /// its role, or queues it. The re-run of a crashed manual attempt keeps
+  /// the person the crash held.
+  Status AssignPosted() {
+    org::WorklistService* lists = engine_->worklists();
+    for (Result<const org::WorkItem*> item = lists->Find(next_item_);
+         item.ok(); item = lists->Find(++next_item_)) {
+      const org::WorkItem& w = **item;
+      if (w.state != org::WorkItemState::kPosted) continue;
+      const bool rerun =
+          !lost_.empty() && lost_.count({w.process_instance, w.activity}) > 0;
+      int& free = free_.try_emplace(w.role, Capacity(w.role)).first->second;
+      if (rerun || free > 0) {
+        if (!rerun) --free;
+        EXO_RETURN_NOT_OK(Start(w));
+      } else {
+        waiting_[w.role].push_back(w.id);
+      }
     }
     return Status::OK();
   }
 
-  Status MakeReady(int idx, const std::string& name, Micros now) {
-    SimInstance& inst = instances_[idx];
-    EXO_ASSIGN_OR_RETURN(const wf::Activity* def,
-                         inst.def->FindActivity(name));
-    inst.acts[name].state = ActivityState::kReady;
-    if (def->start_mode == wf::StartMode::kManual) {
-      // Queue for a person in the role.
-      std::string role = def->role;
-      int& available = role_available_.try_emplace(role, RoleCapacity(role))
-                           .first->second;
-      if (available > 0) {
-        --available;
-        return StartActivity(idx, name, now);
-      }
-      inst.acts[name].queued_at = now;
-      role_queue_[role].push_back({idx, name});
+  /// A person of `role` finished: the role's longest-waiting item starts,
+  /// or the person is free.
+  Status Release(const std::string& role) {
+    std::deque<org::WorkItemId>& queue = waiting_[role];
+    if (queue.empty()) {
+      ++free_[role];
       return Status::OK();
     }
-    return StartActivity(idx, name, now);
+    EXO_ASSIGN_OR_RETURN(const org::WorkItem* item,
+                         engine_->worklists()->Find(queue.front()));
+    queue.pop_front();
+    return Start(*item);
   }
 
-  Status StartActivity(int idx, const std::string& name, Micros now) {
-    SimInstance& inst = instances_[idx];
-    SimActivity& act = inst.acts[name];
-    act.state = ActivityState::kRunning;
-    ++act.attempts;
-    EXO_ASSIGN_OR_RETURN(const wf::Activity* def,
-                         inst.def->FindActivity(name));
-    ActivityStats& stats = result_->activities[name];
-    ++stats.executions;
-
-    if (def->is_process()) {
-      // Block: the child runs; completion is driven by the child's
-      // finish, not a sampled duration.
-      EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* sub,
-                           store_.FindProcess(def->subprocess));
-      return Spawn(sub, now, idx, name);
-    }
-    Micros duration = ProfileOf(name).duration.Sample(rng_);
-    stats.busy_micros += duration;
-    if (def->start_mode == wf::StartMode::kManual) {
-      RoleStats& rs = result_->roles[def->role];
-      rs.capacity = RoleCapacity(def->role);
-      rs.busy_micros += duration;
-    }
-    events_.push(Event{now + duration, seq_++, idx, name});
-    return Status::OK();
+  /// Claims and runs `item` as its role's person, charging the time it
+  /// waited since it was posted.
+  Status Start(const org::WorkItem& item) {
+    const Micros waited = clock_.NowMicros() - item.posted_at;
+    result_->activities[item.activity].queue_micros += waited;
+    result_->roles[item.role].queue_micros += waited;
+    const org::WorkItemId id = item.id;
+    const std::string person = item.role;
+    EXO_RETURN_NOT_OK(engine_->Claim(id, person));
+    return engine_->ExecuteWorkItem(id, person);
   }
 
-  Status CompleteActivity(int idx, const std::string& name, Micros now) {
-    SimInstance& inst = instances_[idx];
-    SimActivity& act = inst.acts[name];
-    EXO_ASSIGN_OR_RETURN(const wf::Activity* def,
-                         inst.def->FindActivity(name));
-    const ActivityProfile& profile = ProfileOf(name);
-
-    // Injected crash: the attempt's time is spent but it produces no RC;
-    // re-run from the beginning (the engine's at-least-once restart).
-    if (!def->is_process() && profile.crash_probability > 0.0 &&
-        rng_->NextDouble() < profile.crash_probability) {
-      ++act.crashes;
-      ++result_->activities[name].crashes;
-      if (def->start_mode == wf::StartMode::kManual) {
-        EXO_RETURN_NOT_OK(ReleaseRole(def->role, now));
+  /// Adds each activity's runs (its attempts) and dead paths to the
+  /// result, block children included.
+  Status Tally() {
+    for (const std::string& id : engine_->instance_order()) {
+      EXO_ASSIGN_OR_RETURN(const wfrt::ProcessInstance* inst,
+                           engine_->FindInstance(id));
+      const std::vector<wf::Activity>& activities =
+          inst->definition->activities();
+      for (uint32_t aid = 0; aid < activities.size(); ++aid) {
+        ActivityStats& stats = result_->activities[activities[aid].name];
+        stats.executions += static_cast<uint64_t>(inst->attempt(aid));
+        if (inst->state(aid) == wf::ActivityState::kDead) ++stats.dead;
       }
-      if (config_.max_crash_retries > 0 &&
-          act.crashes >= config_.max_crash_retries) {
-        return Status::FailedPrecondition(
-            "simulated activity " + name + " exceeded crash retries");
-      }
-      return MakeReady(idx, name, now);
-    }
-
-    act.rc = profile.SampleRc(rng_);
-
-    int64_t rc = act.rc;
-    int attempts = act.attempts;
-
-    // Release the person before the exit-condition check; a rescheduled
-    // manual activity queues again. (May start a queued waiter, which can
-    // spawn instances — use the local copies afterwards.)
-    if (def->start_mode == wf::StartMode::kManual) {
-      EXO_RETURN_NOT_OK(ReleaseRole(def->role, now));
-    }
-
-    // Exit condition over an RC-only view of the output container.
-    if (!def->exit_condition.is_trivial()) {
-      EXO_ASSIGN_OR_RETURN(bool ok, EvalCondition(def->exit_condition, *def,
-                                                  rc));
-      if (!ok) {
-        if (attempts >= config_.max_exit_retries) {
-          return Status::FailedPrecondition(
-              "simulated activity " + name + " exceeded exit retries");
-        }
-        return MakeReady(idx, name, now);
-      }
-    }
-    return Terminate(idx, name, now);
-  }
-
-  Status ReleaseRole(const std::string& role, Micros now) {
-    auto q = role_queue_.find(role);
-    if (q != role_queue_.end() && !q->second.empty()) {
-      auto [widx, wname] = q->second.front();
-      q->second.pop_front();
-      SimActivity& waiter = instances_[widx].acts[wname];
-      Micros waited = now - waiter.queued_at;
-      result_->activities[wname].queue_micros += waited;
-      result_->roles[role].queue_micros += waited;
-      return StartActivity(widx, wname, now);
-    }
-    ++role_available_[role];
-    return Status::OK();
-  }
-
-  Result<bool> EvalCondition(const expr::Condition& condition,
-                             const wf::Activity& def, int64_t rc) {
-    EXO_ASSIGN_OR_RETURN(data::Container out,
-                         data::Container::Create(store_.types(),
-                                                 def.output_type));
-    if (out.HasPath("RC")) {
-      EXO_RETURN_NOT_OK(out.Set("RC", data::Value(rc)));
-    }
-    expr::ContainerResolver resolver(out);
-    Result<bool> r = condition.Evaluate(resolver);
-    // Data flow is not simulated: conditions over unset members are
-    // design-time unknowns and evaluate false, like the engine's lenient
-    // mode.
-    if (!r.ok()) return false;
-    return r;
-  }
-
-  Status Terminate(int idx, const std::string& name, Micros now) {
-    SimInstance& inst = instances_[idx];
-    inst.acts[name].state = ActivityState::kTerminated;
-    EXO_RETURN_NOT_OK(EvaluateOutgoing(idx, name, /*all_false=*/false, now));
-    return CheckCompletion(idx, now);
-  }
-
-  Status MarkDead(int idx, const std::string& name, Micros now) {
-    SimInstance& inst = instances_[idx];
-    inst.acts[name].state = ActivityState::kDead;
-    ++result_->activities[name].dead;
-    EXO_RETURN_NOT_OK(EvaluateOutgoing(idx, name, /*all_false=*/true, now));
-    return CheckCompletion(idx, now);
-  }
-
-  Status EvaluateOutgoing(int idx, const std::string& name, bool all_false,
-                          Micros now) {
-    SimInstance& inst = instances_[idx];
-    const auto& connectors = inst.def->control_connectors();
-    std::vector<size_t> outs = inst.def->OutgoingControl(name);
-    bool any_true = false;
-    std::vector<std::pair<size_t, bool>> fresh;
-    for (size_t i : outs) {
-      const wf::ControlConnector& c = connectors[i];
-      if (c.is_otherwise) continue;
-      bool value = false;
-      if (!all_false) {
-        EXO_ASSIGN_OR_RETURN(const wf::Activity* def,
-                             inst.def->FindActivity(name));
-        EXO_ASSIGN_OR_RETURN(value, EvalCondition(c.condition, *def,
-                                                  inst.acts[name].rc));
-      }
-      any_true = any_true || value;
-      fresh.emplace_back(i, value);
-    }
-    for (size_t i : outs) {
-      const wf::ControlConnector& c = connectors[i];
-      if (!c.is_otherwise) continue;
-      fresh.emplace_back(i, all_false ? false : !any_true);
-    }
-    for (auto [i, value] : fresh) {
-      EXO_RETURN_NOT_OK(Deliver(idx, connectors[i].to, i, value, now));
-    }
-    return Status::OK();
-  }
-
-  Status Deliver(int idx, const std::string& target, size_t connector,
-                 bool value, Micros now) {
-    SimInstance& inst = instances_[idx];
-    SimActivity& act = inst.acts[target];
-    act.incoming[connector] = value;
-    if (act.state != ActivityState::kWaiting) return Status::OK();
-    std::vector<size_t> incoming = inst.def->IncomingControl(target);
-    size_t evaluated = 0, trues = 0;
-    for (size_t i : incoming) {
-      auto it = act.incoming.find(i);
-      if (it == act.incoming.end()) continue;
-      ++evaluated;
-      if (it->second) ++trues;
-    }
-    if (evaluated < incoming.size()) return Status::OK();
-    EXO_ASSIGN_OR_RETURN(const wf::Activity* def,
-                         inst.def->FindActivity(target));
-    bool start = def->join == wf::JoinKind::kAnd ? trues == incoming.size()
-                                                 : trues > 0;
-    return start ? MakeReady(idx, target, now) : MarkDead(idx, target, now);
-  }
-
-  Status CheckCompletion(int idx, Micros now) {
-    SimInstance& inst = instances_[idx];
-    if (inst.finished) return Status::OK();
-    for (const auto& [name, act] : inst.acts) {
-      (void)name;
-      if (act.state != ActivityState::kTerminated &&
-          act.state != ActivityState::kDead) {
-        return Status::OK();
-      }
-    }
-    inst.finished = true;
-    if (inst.parent < 0) {
-      finish_time_ = now;
-      return Status::OK();
-    }
-    // Block continuation: the parent activity completes now.
-    int pidx = inst.parent;
-    std::string pact = inst.parent_activity;
-    return CompleteActivity(pidx, pact, now);
-  }
-
-  Status Loop() {
-    while (!events_.empty()) {
-      Event e = events_.top();
-      events_.pop();
-      EXO_RETURN_NOT_OK(CompleteActivity(e.instance, e.activity, e.at));
-    }
-    if (!instances_.empty() && !instances_[0].finished) {
-      return Status::Internal("simulation deadlocked: root never finished");
     }
     return Status::OK();
   }
 
   const wf::DefinitionStore& store_;
   const SimConfig& config_;
-  Rng* rng_;
   SimResult* result_;
+  Rng rng_;
+  wfrt::ProgramRegistry programs_;
+  org::Directory staff_;
+  ManualClock clock_;
+  wfrt::EngineOptions options_;
 
-  // deque: references to instances stay valid while new ones are spawned.
-  std::deque<SimInstance> instances_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  uint64_t seq_ = 0;
-  std::map<std::string, int> role_available_;
-  std::map<std::string, std::deque<std::pair<int, std::string>>> role_queue_;
-  Micros finish_time_ = 0;
+  // One trial's state.
+  std::optional<wfrt::Engine> engine_;
+  /// Every attempt scheduled this trial, by scheduling order (seq).
+  std::vector<Finish> finishes_;
+  /// (virtual finish time, seq) of the pending ones, earliest on top; the
+  /// seq breaks ties first-scheduled first.
+  std::vector<std::pair<Micros, size_t>> due_;
+  std::map<std::string, int> free_;  ///< role -> free people
+  std::map<std::string, std::deque<org::WorkItemId>> waiting_;
+  /// (instance, activity) -> time its crashed attempts took, charged to
+  /// the re-run's finish.
+  std::map<std::pair<std::string, std::string>, Micros> lost_;
+  /// The first work item AssignPosted has not seen.
+  org::WorkItemId next_item_ = 1;
 };
 
 }  // namespace
@@ -377,8 +308,7 @@ class Trial {
 Result<SimResult> Simulate(const wf::DefinitionStore& store,
                            const std::string& process_name,
                            const SimConfig& config) {
-  EXO_ASSIGN_OR_RETURN(const wf::ProcessDefinition* root,
-                       store.FindProcess(process_name));
+  EXO_RETURN_NOT_OK(store.FindProcess(process_name).status());
   if (config.trials <= 0) {
     return Status::InvalidArgument("trials must be positive");
   }
@@ -398,10 +328,10 @@ Result<SimResult> Simulate(const wf::DefinitionStore& store,
 
   SimResult result;
   result.trials = config.trials;
-  Rng rng(config.seed);
+  Simulator simulator(store, config, &result);
+  EXO_RETURN_NOT_OK(simulator.Setup());
   for (int t = 0; t < config.trials; ++t) {
-    Trial trial(store, config, &rng, &result);
-    EXO_ASSIGN_OR_RETURN(Micros makespan, trial.Run(root));
+    EXO_ASSIGN_OR_RETURN(Micros makespan, simulator.RunTrial(process_name));
     result.makespans.push_back(makespan);
   }
   std::sort(result.makespans.begin(), result.makespans.end());

@@ -2,15 +2,16 @@
 // support for organizational aspects, user interface, monitoring,
 // accounting, simulation, distribution, and heterogeneity").
 //
-// A discrete-event simulator over process definitions: activities take
-// stochastic (virtual) time and report stochastic return codes; manual
-// activities queue for role capacity (how many people hold the role).
-// The simulator mirrors the engine's navigation semantics — transition
-// conditions over the RC, all-evaluated AND/OR joins, dead path
-// elimination, exit-condition loops, blocks — but runs thousands of
-// virtual instances per second of wall time, answering the design-time
-// questions (makespan percentiles, bottleneck roles, path frequencies)
-// that the runtime engine cannot.
+// A discrete-event simulation on the real engine: each trial runs one
+// wfrt::Engine on a virtual clock. Every program samples its attempt's
+// duration and stays pending; each finish is reported at its virtual
+// time with a sampled RC, so transition conditions, joins, dead
+// path elimination, exit-condition loops, blocks and data connectors are
+// the engine's own. Manual activities go through the engine's worklists
+// and wait for one of the role's people (role capacity). A trial costs an
+// engine execution plus the simulator's event queue and sampling; what
+// simulation adds is the design-time answers (makespan percentiles,
+// bottleneck roles, path frequencies) that a real execution cannot give.
 
 #ifndef EXOTICA_WFSIM_SIM_H_
 #define EXOTICA_WFSIM_SIM_H_
@@ -54,10 +55,11 @@ struct ActivityProfile {
   std::vector<std::pair<int64_t, double>> rc_distribution = {{0, 1.0}};
 
   /// Probability that an attempt crashes (the engine's program-crash
-  /// fault class): the time is spent but no RC is produced and the
-  /// activity re-runs from the beginning — the same fault model the
-  /// runtime's FaultPlan injects, so design-time makespans account for
-  /// retry amplification.
+  /// fault class): the program returns the transient error the runtime's
+  /// FaultPlan injects, the engine's retry policy re-runs the activity
+  /// from the beginning, and the crashed attempt's time is added to the
+  /// re-run's, so design-time makespans account for retry amplification.
+  /// A crashed manual attempt's person re-runs it at once.
   double crash_probability = 0.0;
 
   int64_t SampleRc(Rng* rng) const;
@@ -66,7 +68,10 @@ struct ActivityProfile {
 /// \brief Simulation setup.
 struct SimConfig {
   /// Profiles by activity name (shared across subprocesses); activities
-  /// without an entry use `default_profile`.
+  /// without an entry use `default_profile`. A profile on a block
+  /// activity is not read: a block takes as long as its child, and its
+  /// RC is the child's output (what the child's data connectors map to
+  /// the child's process output).
   std::map<std::string, ActivityProfile> profiles;
   ActivityProfile default_profile;
 
@@ -78,11 +83,14 @@ struct SimConfig {
   uint64_t seed = 42;
   int trials = 1000;
 
-  /// Cap on exit-condition reschedules per activity per instance.
+  /// Cap on an activity's attempts while its exit condition stays false
+  /// (the engine's EngineOptions::max_exit_retries); reaching it fails
+  /// the simulation. 0 = unlimited.
   int max_exit_retries = 1000;
 
-  /// Cap on crash retries per activity per instance (mirrors the
-  /// runtime's RetryPolicy::max_attempts); 0 = unlimited.
+  /// The engine's RetryPolicy::max_attempts: consecutive crashes of one
+  /// activity (a successful attempt resets the count) that quarantine
+  /// the instance, which fails the simulation; 0 = unlimited.
   int max_crash_retries = 64;
 };
 

@@ -72,7 +72,11 @@ TEST_F(FlexStructureTest, RootSequenceShape) {
   auto fail = (*root)->FindActivity("_FAIL");
   ASSERT_TRUE(fail.ok());
   EXPECT_EQ((*fail)->join, wf::JoinKind::kOr);
-  EXPECT_EQ((*root)->IncomingControl("_FAIL").size(), 3u);
+  size_t into_fail = 0;
+  for (const wf::ControlConnector& c : (*root)->control_connectors()) {
+    if (c.to == "_FAIL") ++into_fail;
+  }
+  EXPECT_EQ(into_fail, 3u);
 }
 
 TEST_F(FlexStructureTest, RetriableLeavesCarryExitConditions) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/eval.h"
+
 namespace exotica::expr {
 namespace {
 
@@ -9,12 +11,7 @@ TEST(ConditionTest, TrivialConditionIsAlwaysTrue) {
   Condition c;
   EXPECT_TRUE(c.is_trivial());
   EXPECT_EQ(c.source(), "TRUE");
-  data::TypeRegistry reg;
-  data::Container container = data::Container::Default(reg);
-  ContainerResolver resolver(container);
-  auto v = c.Evaluate(resolver);
-  ASSERT_TRUE(v.ok());
-  EXPECT_TRUE(*v);
+  EXPECT_EQ(c.root(), nullptr);
   EXPECT_TRUE(c.Identifiers().empty());
 }
 
@@ -28,9 +25,9 @@ TEST(ConditionTest, CompiledConditionEvaluates) {
   data::TypeRegistry reg;
   data::Container container = data::Container::Default(reg);
   ContainerResolver resolver(container);
-  EXPECT_TRUE(*c->Evaluate(resolver));  // RC defaults to 0
+  EXPECT_TRUE(*EvaluateBool(*c->root(), resolver));  // RC defaults to 0
   ASSERT_TRUE(container.Set("RC", data::Value(int64_t{1})).ok());
-  EXPECT_FALSE(*c->Evaluate(resolver));
+  EXPECT_FALSE(*EvaluateBool(*c->root(), resolver));
 }
 
 TEST(ConditionTest, CompileErrorSurfaces) {

@@ -121,6 +121,77 @@ TEST_F(BlockTest, ExitConditionLoopsBlock) {
   EXPECT_EQ(engine.stats().reschedules, 2u);
 }
 
+// A crash between a looped block's STARTED record and its new child's
+// INSTANCE_START recovers the same way at every iteration: the block
+// re-runs (RESCHEDULED ... recovery). Replay must not keep the previous
+// iteration's child link, or recovery finishes the block with that
+// finished child's output although no body ran for this attempt.
+TEST_F(BlockTest, RecoveryAfterALoopedBlocksStartReRunsTheBlock) {
+  // RC 0 only in the third child instance: the programs' outputs are a
+  // function of the instance id, so recovered runs see the same outputs
+  // as the uncut run.
+  ASSERT_TRUE(DeclareDefaultProgram(&store_, "third").ok());
+  ASSERT_TRUE(programs_
+                  .Bind("third",
+                        [](const data::Container&, data::Container* out,
+                           const wfrt::ProgramContext& ctx) -> Status {
+                          int64_t rc = ctx.instance_id == "wf-4" ? 0 : 1;
+                          return out->Set("RC", data::Value(rc));
+                        })
+                  .ok());
+  wf::ProcessBuilder inner(&store_, "body");
+  inner.Program("X", "third");
+  inner.MapToOutput("X", {{"RC", "RC"}});
+  ASSERT_TRUE(inner.Register().ok());
+  wf::ProcessBuilder outer(&store_, "looped");
+  outer.Block("B", "body").ExitWhen("RC = 0");
+  outer.MapToOutput("B", {{"RC", "RC"}});
+  ASSERT_TRUE(outer.Register().ok());
+
+  wfjournal::MemoryJournal reference;
+  wfrt::Engine uncut(&store_, &programs_);
+  ASSERT_TRUE(uncut.AttachJournal(&reference).ok());
+  auto id = uncut.RunToCompletion("looped");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto records = reference.ReadAll();
+  ASSERT_TRUE(records.ok());
+
+  int cuts = 0;
+  for (size_t cut = 0; cut < records->size(); ++cut) {
+    const wfjournal::Record& started = (*records)[cut];
+    if (started.type != wfjournal::EventType::kActivityStarted ||
+        started.instance != *id || started.activity != "B") {
+      continue;
+    }
+    ++cuts;
+    SCOPED_TRACE("journal cut after STARTED " + *id + " B " +
+                 started.payload);
+    wfjournal::MemoryJournal journal;
+    for (size_t i = 0; i <= cut; ++i) {
+      ASSERT_TRUE(journal.Append((*records)[i]).ok());
+    }
+    wfrt::Engine engine(&store_, &programs_);
+    ASSERT_TRUE(engine.AttachJournal(&journal).ok());
+    ASSERT_TRUE(engine.Recover().ok());
+    ASSERT_TRUE(engine.Run().ok());
+
+    auto after = journal.ReadAll();
+    ASSERT_TRUE(after.ok());
+    const wfjournal::Record* first = nullptr;
+    for (size_t i = cut + 1; i < after->size() && first == nullptr; ++i) {
+      const wfjournal::Record& r = (*after)[i];
+      if (r.instance == *id && r.activity == "B") first = &r;
+    }
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->type, wfjournal::EventType::kActivityRescheduled);
+    EXPECT_EQ(first->payload, "recovery");
+    ASSERT_TRUE(engine.IsFinished(*id));
+    EXPECT_EQ(engine.OutputOf(*id)->Get("RC")->as_long(),
+              uncut.OutputOf(*id)->Get("RC")->as_long());
+  }
+  EXPECT_EQ(cuts, 3);  // one STARTED per iteration
+}
+
 // Each iteration of a looped block spawns a fresh child, and the block's
 // child link moves to the newest one, while the earlier children still
 // name the parent. Detaching the family mid-loop carries the root and the

@@ -160,6 +160,91 @@ TEST_F(SimTest, BlocksNestAndDriveParentTiming) {
   EXPECT_EQ(r->MakespanMean(), 150);
 }
 
+TEST_F(SimTest, BlockRcIsItsChildsOutputThroughDataFlow) {
+  // The child reports RC 0 with p = 0.3, and a data connector carries it
+  // to the child's process output, which is the block's output: B's
+  // transition conditions branch on the child's RC.
+  wf::ProcessBuilder inner(&store_, "inner");
+  inner.Program("C", "prog");
+  inner.MapToOutput("C", {{"RC", "RC"}});
+  ASSERT_TRUE(inner.Register().ok());
+
+  wf::ProcessBuilder outer(&store_, "outer");
+  outer.Block("B", "inner").Program("Yes", "prog").Program("No", "prog");
+  outer.Connect("B", "Yes", "RC = 0");
+  outer.Connect("B", "No", "RC <> 0");
+  ASSERT_TRUE(outer.Register().ok());
+
+  SimConfig cfg;
+  cfg.trials = 4000;
+  cfg.seed = 9;
+  cfg.profiles["C"] = Fixed(1, {{0, 0.3}, {1, 0.7}});
+  auto r = Simulate(store_, "outer", cfg);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const uint64_t trials = static_cast<uint64_t>(cfg.trials);
+  double yes_rate = static_cast<double>(r->activities.at("Yes").executions) /
+                    static_cast<double>(trials);
+  EXPECT_NEAR(yes_rate, 0.3, 0.03);
+  EXPECT_EQ(r->activities.at("Yes").executions +
+                r->activities.at("No").executions,
+            trials);
+  EXPECT_EQ(r->activities.at("Yes").dead + r->activities.at("No").dead,
+            trials);
+  EXPECT_EQ(r->activities.at("B").executions, trials);
+}
+
+TEST_F(SimTest, CrashedManualAttemptKeepsItsPerson) {
+  // One adjuster, three assessments posted at once, crashes at p = 0.5.
+  // A crashed assessment is re-run at once by the person it held: R1, the
+  // first one dispatched, never waits, and the adjuster works without a
+  // gap, so each trial lasts exactly its assessment attempts.
+  wf::ProcessBuilder b(&store_, "crashy_assessments");
+  b.Program("Start", "prog");
+  for (const char* name : {"R1", "R2", "R3"}) {
+    b.Program(name, "prog").Manual().Role("adjuster");
+    b.Connect("Start", name);
+  }
+  ASSERT_TRUE(b.Register().ok());
+
+  SimConfig cfg;
+  cfg.trials = 200;
+  cfg.profiles["Start"] = Fixed(0);
+  for (const char* name : {"R1", "R2", "R3"}) {
+    cfg.profiles[name] = Fixed(100);
+    cfg.profiles[name].crash_probability = 0.5;
+  }
+  cfg.role_capacity["adjuster"] = 1;
+  auto r = Simulate(store_, "crashy_assessments", cfg);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  uint64_t attempts = 0, crashes = 0;
+  for (const char* name : {"R1", "R2", "R3"}) {
+    attempts += r->activities.at(name).executions;
+    crashes += r->activities.at(name).crashes;
+  }
+  EXPECT_GT(r->activities.at("R1").crashes, 0u);
+  EXPECT_EQ(r->activities.at("R1").queue_micros, 0);
+  EXPECT_EQ(attempts, 3 * static_cast<uint64_t>(cfg.trials) + crashes);
+  Micros total = 0;
+  for (Micros m : r->makespans) total += m;
+  EXPECT_EQ(total, static_cast<Micros>(attempts) * 100);
+  EXPECT_EQ(r->roles.at("adjuster").busy_micros, total);
+
+  // An assessment that always crashes quarantines the instance when the
+  // adjuster reaches it; the trial reports that, not the finish of the
+  // assessment the quarantine cut short.
+  cfg.profiles["R2"].crash_probability = 0.0;
+  cfg.profiles["R3"].crash_probability = 1.0;
+  cfg.max_crash_retries = 3;
+  auto hopeless = Simulate(store_, "crashy_assessments", cfg);
+  ASSERT_TRUE(hopeless.status().IsFailedPrecondition())
+      << hopeless.status().ToString();
+  EXPECT_NE(hopeless.status().ToString().find("R3"), std::string::npos)
+      << hopeless.status().ToString();
+  EXPECT_NE(hopeless.status().ToString().find("failed 3 times"),
+            std::string::npos)
+      << hopeless.status().ToString();
+}
+
 TEST_F(SimTest, DeterministicPerSeed) {
   wf::ProcessBuilder b(&store_, "p");
   b.Program("A", "prog");
@@ -211,10 +296,11 @@ TEST_F(SimTest, PercentilesAreOrdered) {
 
 TEST_F(SimTest, SimulatesATranslatedSagaProcess) {
   // Design-time what-if over an Exotica-translated saga: the forward
-  // block's steps take time; the compensation path is driven by the
-  // block-level RC profile. (Data flow is not simulated, so State_*
-  // conditions read false and compensations stay dead — the forward
-  // timing is the question simulation answers here.)
+  // block's steps take time, and its RC is its _DONE sentinel's, carried
+  // through the block's data connectors (a block has no profile of its
+  // own). The steps report RC 0, so the forward block commits and the
+  // compensation block stays dead — the forward timing is the question
+  // simulation answers here.
   atm::SagaSpec spec("Trip");
   spec.Then("Flight").Then("Hotel");
   auto translation = exo::TranslateSaga(spec, &store_);
